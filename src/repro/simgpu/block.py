@@ -21,7 +21,14 @@ from repro.simgpu.arch import ArchSpec
 from repro.simgpu.dims import Dim3
 from repro.simgpu.memory import SharedArrayView, SharedMemory
 from repro.simgpu.profile import InstructionProfile
-from repro.simgpu.warp import KernelFault, Thread, ThreadState, Warp
+from repro.simgpu.warp import (
+    _AT_SYNC,
+    _DONE,
+    _RUNNABLE,
+    KernelFault,
+    Thread,
+    Warp,
+)
 
 
 class BarrierDeadlock(ReproError):
@@ -213,16 +220,17 @@ class ThreadBlock:
     # ------------------------------------------------------------------
     def run(self, profile: InstructionProfile) -> None:
         """Execute the block to completion, enforcing barrier semantics."""
-        for w in self.warps:
+        threads, warps = self._threads, self.warps
+        for w in warps:
             if w.threads:
                 profile.warps_launched += 1
         while True:
-            live = [t for t in self._threads if t.state is not ThreadState.DONE]
+            live = [t for t in threads if t.state is not _DONE]
             if not live:
                 return
             # Barrier release: every live thread is parked at the sync.
-            if all(t.state is ThreadState.AT_SYNC for t in live):
-                exited = len(self._threads) - len(live)
+            if all(t.state is _AT_SYNC for t in live):
+                exited = len(threads) - len(live)
                 if exited and self.strict_sync:
                     raise BarrierDeadlock(
                         f"block {tuple(self.block_idx)}: {len(live)} threads "
@@ -231,7 +239,7 @@ class ThreadBlock:
                         "divergent control flow is undefined (paper §3.1.4)"
                     )
                 for t in live:
-                    t.state = ThreadState.RUNNABLE
+                    t.state = _RUNNABLE
                 continue
-            for w in self.warps:
+            for w in warps:
                 w.step_round(profile)

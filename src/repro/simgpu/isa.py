@@ -129,10 +129,25 @@ Event = (
 
 # ----------------------------------------------------------------------
 # Convenience constructors (keep kernel bodies readable)
+#
+# Events are immutable, so the payload-free ones are shared: ``op`` interns
+# one OpEvent per (class, count) and ``sync``/``reconv`` return module
+# singletons.  The executor uses identity as a fast "same instruction"
+# test; kernels must never rely on event identity themselves.
 # ----------------------------------------------------------------------
+_OPS: "dict[tuple[int, int], OpEvent]" = {}
+_SYNC = SyncEvent()
+_RECONV = ReconvergeEvent()
+
+
 def op(op_class: OpClass, count: int = 1) -> OpEvent:
-    """An arithmetic instruction event of the given class."""
-    return OpEvent(op_class, count)
+    """An arithmetic instruction event of the given class (interned)."""
+    # Keyed on the member's id so a hit never runs Enum.__hash__.
+    key = (id(op_class), count)
+    event = _OPS.get(key)
+    if event is None:
+        event = _OPS[key] = OpEvent(op_class, count)
+    return event
 
 
 def ld(array: DeviceArrayView, index: int) -> GlobalReadEvent:
@@ -166,13 +181,27 @@ def ldt(texref: object, index: int) -> TextureReadEvent:
 
 
 def sync() -> SyncEvent:
-    """A ``__syncthreads()`` barrier event."""
-    return SyncEvent()
+    """A ``__syncthreads()`` barrier event (a shared instance)."""
+    return _SYNC
 
 
 def reconv() -> ReconvergeEvent:
     """A warp reconvergence point (free; see :class:`ReconvergeEvent`)."""
-    return ReconvergeEvent()
+    return _RECONV
+
+
+#: Signature of every event type whose signature ignores its fields,
+#: in the order :func:`signature` tries them for subclasses.
+TYPE_SIGNATURES: "dict[type, tuple]" = {
+    GlobalReadEvent: ("gld",),
+    GlobalWriteEvent: ("gst",),
+    SharedReadEvent: ("slds",),
+    SharedWriteEvent: ("ssts",),
+    ConstantReadEvent: ("ldc",),
+    TextureReadEvent: ("ldt",),
+    SyncEvent: ("sync",),
+    ReconvergeEvent: ("reconv",),
+}
 
 
 def signature(event: Event) -> tuple:
@@ -183,22 +212,12 @@ def signature(event: Event) -> tuple:
     the warp diverged and the executor serializes the groups (§2.3).
     Operand *values* never contribute — only what instruction is executed.
     """
+    sig = TYPE_SIGNATURES.get(type(event))
+    if sig is not None:
+        return sig
     if isinstance(event, OpEvent):
         return ("op", event.op, event.count)
-    if isinstance(event, GlobalReadEvent):
-        return ("gld",)
-    if isinstance(event, GlobalWriteEvent):
-        return ("gst",)
-    if isinstance(event, SharedReadEvent):
-        return ("slds",)
-    if isinstance(event, SharedWriteEvent):
-        return ("ssts",)
-    if isinstance(event, ConstantReadEvent):
-        return ("ldc",)
-    if isinstance(event, TextureReadEvent):
-        return ("ldt",)
-    if isinstance(event, SyncEvent):
-        return ("sync",)
-    if isinstance(event, ReconvergeEvent):
-        return ("reconv",)
+    for cls, sig in TYPE_SIGNATURES.items():
+        if isinstance(event, cls):
+            return sig
     raise TypeError(f"kernel yielded a non-event object: {event!r}")

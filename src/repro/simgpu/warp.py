@@ -8,6 +8,13 @@ means the control flow diverged and the hardware serializes the groups
 another").  Every serialized group pays the full warp issue cost, which is
 exactly how divergence loses performance on the real part.
 
+Most rounds do not diverge, so the fetch loop notes whether every lane
+issued the same instruction — the same interned ``OpEvent``, or the same
+type of an event whose signature ignores its fields — and such a round is
+executed as one group without computing a single signature.  The
+accounting is identical either way; only divergent rounds pay for the
+grouping.
+
 Global-memory accesses inside a round go through a CUDA-1.0-style
 coalescing analysis per half-warp: thread ``k`` must read the ``k``-th
 consecutive aligned word for the half-warp to merge into one transaction;
@@ -25,6 +32,7 @@ from typing import Generator
 from repro.common.errors import ReproError
 from repro.simgpu.costs import OpClass
 from repro.simgpu.isa import (
+    TYPE_SIGNATURES,
     ConstantReadEvent,
     Event,
     GlobalReadEvent,
@@ -37,6 +45,7 @@ from repro.simgpu.isa import (
     TextureReadEvent,
     signature,
 )
+from repro.simgpu.memory import InvalidDeviceAccess, SharedArrayView
 from repro.simgpu.profile import InstructionProfile
 
 #: Half-warp size used by the CC 1.0 coalescing rules.
@@ -64,7 +73,13 @@ class ThreadState(enum.Enum):
     DONE = "done"
 
 
-@dataclass
+_RUNNABLE = ThreadState.RUNNABLE
+_AT_SYNC = ThreadState.AT_SYNC
+_AT_RECONV = ThreadState.AT_RECONV
+_DONE = ThreadState.DONE
+
+
+@dataclass(slots=True)
 class Thread:
     """One device thread: a generator plus its lockstep bookkeeping."""
 
@@ -72,8 +87,29 @@ class Thread:
     gen: Generator[Event, object, None]
     state: ThreadState = ThreadState.RUNNABLE
     send_value: object = None  # value to send into the generator next step
-    started: bool = False
-    pending: Event | None = None  # event yielded, not yet executed
+    pending: Event | None = None  # event yielded in the current round
+
+
+def _shared_index(array: SharedArrayView, index: int) -> int:
+    """Bounds-check a shared-memory element index, like ``addr_of`` does
+    for global memory (no negative wrap-around, no raw IndexError)."""
+    if not 0 <= index < len(array.data):
+        raise InvalidDeviceAccess(
+            f"index {index} out of bounds for SharedArrayView of "
+            f"{len(array.data)} elements"
+        )
+    return index
+
+
+def _broadcast(members: list[Thread]) -> bool:
+    """True when every member accesses one identical (array, index)."""
+    first = members[0].pending
+    array, index = first.array, first.index
+    for t in members:
+        ev = t.pending
+        if ev.index != index or ev.array is not array:
+            return False
+    return True
 
 
 class Warp:
@@ -98,11 +134,7 @@ class Warp:
     # ------------------------------------------------------------------
     @property
     def live_threads(self) -> list[Thread]:
-        return [t for t in self.threads if t.state is not ThreadState.DONE]
-
-    @property
-    def runnable_threads(self) -> list[Thread]:
-        return [t for t in self.threads if t.state is ThreadState.RUNNABLE]
+        return [t for t in self.threads if t.state is not _DONE]
 
     @property
     def done(self) -> bool:
@@ -116,53 +148,68 @@ class Warp:
         :class:`SyncEvent` transition to AT_SYNC and stay parked until the
         block releases the barrier.
         """
-        runnable = self.runnable_threads
-        if not runnable:
+        # 1. Fetch: advance each runnable generator to its next event,
+        #    noting on the way whether every lane issued the same one —
+        #    the same interned OpEvent, or the same type of an event whose
+        #    signature ignores its fields.
+        fetched: list[Thread] = []
+        ran = False
+        convergent = True
+        first = by_type = None
+        for t in self.threads:
+            if t.state is not _RUNNABLE:
+                continue
+            ran = True
+            try:
+                # A fresh thread's send_value is None, so send() starts
+                # its generator exactly as next() would.
+                ev = t.gen.send(t.send_value)
+            except StopIteration:
+                t.state = _DONE
+                continue
+            except Exception as exc:  # surface kernel bugs loudly
+                raise KernelFault(
+                    f"thread {t.lane} raised {type(exc).__name__}: {exc}"
+                ) from exc
+            t.send_value = None
+            t.pending = ev
+            if not fetched:
+                first = ev
+                by_type = type(ev) if type(ev) in TYPE_SIGNATURES else None
+            elif ev is not first and type(ev) is not by_type:
+                convergent = False
+            fetched.append(t)
+        if not ran:
             # Reconvergence: the warp re-joins once no thread can advance
             # past the marker — diverged paths have all caught up.
-            parked = [
-                t for t in self.threads if t.state is ThreadState.AT_RECONV
-            ]
-            if parked:
-                for t in parked:
-                    t.state = ThreadState.RUNNABLE
-                return True
-            return False
-
-        # 1. Fetch: advance each runnable generator to its next event.
-        fetched: list[Thread] = []
-        for t in runnable:
-            if t.pending is None:
-                try:
-                    if t.started:
-                        t.pending = t.gen.send(t.send_value)
-                    else:
-                        t.started = True
-                        t.pending = next(t.gen)
-                    t.send_value = None
-                except StopIteration:
-                    t.state = ThreadState.DONE
-                    continue
-                except Exception as exc:  # surface kernel bugs loudly
-                    raise KernelFault(
-                        f"thread {t.lane} raised {type(exc).__name__}: {exc}"
-                    ) from exc
-            fetched.append(t)
+            parked = [t for t in self.threads if t.state is _AT_RECONV]
+            for t in parked:
+                t.state = _RUNNABLE
+            return bool(parked)
         if not fetched:
             return True  # every runnable thread just finished
 
-        # 2. Group by divergence signature, in first-lane order.
+        # 2. Convergent round: one group, no signatures needed.
+        if convergent:
+            self._execute_group(fetched, profile)
+            return True
+
+        # 3. Divergent round: group by signature in first-lane order (dict
+        #    insertion order, as ``fetched`` is in lane order) and execute
+        #    the groups serialized; each pays a full warp issue.
         groups: dict[tuple, list[Thread]] = {}
         for t in fetched:
-            groups.setdefault(signature(t.pending), []).append(t)
+            try:
+                sig = signature(t.pending)
+            except TypeError:
+                raise KernelFault(
+                    f"thread {t.lane} yielded a non-event: {t.pending!r}"
+                ) from None
+            groups.setdefault(sig, []).append(t)
         if len(groups) > 1:
             profile.divergent_rounds += 1
             profile.serialized_groups += len(groups) - 1
-
-        # 3. Execute each group serialized; each pays a full warp issue.
-        for _sig, members in sorted(
-            groups.items(), key=lambda kv: kv[1][0].lane
-        ):
+        for members in groups.values():
             self._execute_group(members, profile)
         return True
 
@@ -173,38 +220,45 @@ class Warp:
         event = members[0].pending
         if isinstance(event, OpEvent):
             profile.count(event.op, event.count)
-            for t in members:
-                t.pending = None
         elif isinstance(event, GlobalReadEvent):
             profile.count(OpClass.GLOBAL_READ)
             self._coalesce(members, profile, is_read=True)
+            raws: dict = {}
             for t in members:
                 ev: GlobalReadEvent = t.pending  # type: ignore[assignment]
-                t.send_value = ev.array._raw()[ev.index].item()
-                t.pending = None
+                raw = raws.get(ev.array)
+                if raw is None:
+                    raw = raws[ev.array] = ev.array._raw()
+                t.send_value = raw[ev.index].item()
         elif isinstance(event, GlobalWriteEvent):
             profile.count(OpClass.GLOBAL_WRITE)
             self._coalesce(members, profile, is_read=False)
+            raws = {}
             for t in members:
                 ev: GlobalWriteEvent = t.pending  # type: ignore[assignment]
-                ev.array._raw()[ev.index] = ev.value
-                t.pending = None
+                raw = raws.get(ev.array)
+                if raw is None:
+                    raw = raws[ev.array] = ev.array._raw()
+                raw[ev.index] = ev.value
         elif isinstance(event, SharedReadEvent):
-            degree = self._shared_conflict_degree(members)
-            profile.count(OpClass.SHARED_READ, degree)
-            profile.shared_bank_conflicts += degree - 1
-            for t in members:
-                ev: SharedReadEvent = t.pending  # type: ignore[assignment]
-                t.send_value = ev.array.data[ev.index].item()
-                t.pending = None
+            if _broadcast(members):
+                # One word for the whole warp: no bank conflict (degree 1).
+                profile.count(OpClass.SHARED_READ)
+                array = event.array
+                value = array.data[_shared_index(array, event.index)].item()
+                for t in members:
+                    t.send_value = value
+            else:
+                self._count_shared(members, profile, OpClass.SHARED_READ)
+                for t in members:
+                    ev: SharedReadEvent = t.pending  # type: ignore[assignment]
+                    index = _shared_index(ev.array, ev.index)
+                    t.send_value = ev.array.data[index].item()
         elif isinstance(event, SharedWriteEvent):
-            degree = self._shared_conflict_degree(members)
-            profile.count(OpClass.SHARED_WRITE, degree)
-            profile.shared_bank_conflicts += degree - 1
+            self._count_shared(members, profile, OpClass.SHARED_WRITE)
             for t in members:
                 ev: SharedWriteEvent = t.pending  # type: ignore[assignment]
-                ev.array.data[ev.index] = ev.value
-                t.pending = None
+                ev.array.data[_shared_index(ev.array, ev.index)] = ev.value
         elif isinstance(event, ConstantReadEvent):
             self._execute_constant_reads(members, profile)
         elif isinstance(event, TextureReadEvent):
@@ -213,16 +267,24 @@ class Warp:
             profile.count(OpClass.SYNC)
             profile.sync_count += 1
             for t in members:
-                t.state = ThreadState.AT_SYNC
-                t.pending = None
+                t.state = _AT_SYNC
         elif isinstance(event, ReconvergeEvent):
             # Free: reconvergence is the branch stack popping, not an
             # issued instruction.
             for t in members:
-                t.state = ThreadState.AT_RECONV
-                t.pending = None
+                t.state = _AT_RECONV
         else:
-            raise KernelFault(f"kernel yielded a non-event: {event!r}")
+            raise KernelFault(
+                f"thread {members[0].lane} yielded a non-event: {event!r}"
+            )
+
+    def _count_shared(
+        self, members: list[Thread], profile: InstructionProfile, op: OpClass
+    ) -> None:
+        """Count a shared access at its bank-conflict degree."""
+        degree = self._shared_conflict_degree(members)
+        profile.count(op, degree)
+        profile.shared_bank_conflicts += degree - 1
 
     # ------------------------------------------------------------------
     def _shared_conflict_degree(self, members: list[Thread]) -> int:
@@ -266,7 +328,6 @@ class Warp:
             ev: ConstantReadEvent = t.pending  # type: ignore[assignment]
             addresses[ev.array.addr_of(ev.index)] = None
             t.send_value = ev.array._raw()[ev.index].item()
-            t.pending = None
         profile.count(OpClass.CONSTANT_READ, len(addresses))
         for addr in addresses:
             if cache is not None and not cache.access(addr):
@@ -287,7 +348,6 @@ class Warp:
             ev: TextureReadEvent = t.pending  # type: ignore[assignment]
             addr = ev.texref.addr_of(ev.index)
             t.send_value = ev.texref._raw()[ev.index].item()
-            t.pending = None
             if cache is not None and not cache.access(addr):
                 profile.texture_misses += 1
                 profile.global_read_transactions += 1
@@ -319,13 +379,9 @@ class Warp:
             accesses = []
             for t in group:
                 ev = t.pending
-                itemsize = ev.array.dtype.itemsize
-                addr = (
-                    ev.array.addr_of(ev.index)
-                    if hasattr(ev.array, "addr_of")
-                    else None
+                accesses.append(
+                    (ev.array.addr_of(ev.index), ev.array.dtype.itemsize)
                 )
-                accesses.append((addr, itemsize))
             itemsizes = {sz for _a, sz in accesses}
             coalesced = False
             if len(itemsizes) == 1:

@@ -11,7 +11,7 @@ from repro.simgpu import (
     SimDevice,
 )
 from repro.simgpu.isa import ld, op, st, sync
-from repro.simgpu.memory import DeviceArrayView
+from repro.simgpu.memory import DeviceArrayView, InvalidDeviceAccess
 
 
 def make_array(device, dtype, count) -> DeviceArrayView:
@@ -252,3 +252,127 @@ class TestSharedMemory:
 
         result = device.launch(kernel, 1, 32, ())
         assert result.shared_bytes_per_block == 1024
+
+
+class TestNonEvents:
+    """A yielded non-event is a KernelFault naming the lane, on both the
+    convergent path and the grouped (divergent) path."""
+
+    def test_convergent_non_event_names_first_lane(self, device):
+        def kernel(ctx):
+            yield op(OpClass.IADD)
+            yield None
+
+        with pytest.raises(KernelFault, match="thread 0 yielded a non-event"):
+            device.launch(kernel, 1, 8, ())
+
+    def test_divergent_non_event_names_its_lane(self, device):
+        def kernel(ctx):
+            if ctx.global_thread_id == 5:
+                yield "not an event"
+            else:
+                yield op(OpClass.IADD)
+
+        with pytest.raises(KernelFault, match="thread 5 yielded a non-event"):
+            device.launch(kernel, 1, 8, ())
+
+
+class TestSharedBounds:
+    """Shared accesses are bounds-checked like global ones: no negative
+    wrap-around and no raw numpy IndexError."""
+
+    @pytest.mark.parametrize("index", [-1, 32])
+    @pytest.mark.parametrize("broadcast", [True, False])
+    def test_out_of_bounds_shared_read(self, device, index, broadcast):
+        from repro.simgpu.isa import lds
+
+        def kernel(ctx):
+            sh = ctx.shared_array("s", np.float32, 32)
+            lane = ctx.thread_idx.x
+            i = index if broadcast or lane == 3 else lane
+            yield lds(sh, i)
+
+        with pytest.raises(InvalidDeviceAccess, match=f"index {index}"):
+            device.launch(kernel, 1, 32, ())
+
+    @pytest.mark.parametrize("index", [-1, 32])
+    @pytest.mark.parametrize("broadcast", [True, False])
+    def test_out_of_bounds_shared_write(self, device, index, broadcast):
+        from repro.simgpu.isa import sts
+
+        def kernel(ctx):
+            sh = ctx.shared_array("s", np.float32, 32)
+            lane = ctx.thread_idx.x
+            i = index if broadcast or lane == 3 else lane
+            yield sts(sh, i, 1.0)
+
+        with pytest.raises(InvalidDeviceAccess, match=f"index {index}"):
+            device.launch(kernel, 1, 32, ())
+
+    def test_last_element_is_in_bounds(self, device):
+        from repro.simgpu.isa import lds, sts
+
+        out = make_array(device, np.float32, 32)
+
+        def kernel(ctx, out):
+            sh = ctx.shared_array("s", np.float32, 32)
+            yield sts(sh, 31, 7.0)
+            v = yield lds(sh, 31)
+            yield st(out, ctx.thread_idx.x, v)
+
+        device.launch(kernel, 1, 32, (out,))
+        result = device.memory.copy_out(out.ptr, 128).view(np.float32)
+        np.testing.assert_array_equal(result, np.full(32, 7.0, np.float32))
+
+
+class TestGlobalBoundsWithTwoArrays:
+    """One round touching two global arrays resolves each array once; an
+    out-of-bounds lane still fails its own per-lane bounds check."""
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_bounds_load(self, device, bad):
+        a = make_array(device, np.float32, 16)
+        b = make_array(device, np.float32, 16)
+
+        def kernel(ctx, a, b):
+            lane = ctx.thread_idx.x
+            array = a if lane % 2 else b
+            yield ld(array, bad if lane == 9 else lane)
+
+        with pytest.raises(InvalidDeviceAccess, match=f"index {bad}"):
+            device.launch(kernel, 1, 16, (a, b))
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_bounds_store(self, device, bad):
+        a = make_array(device, np.float32, 16)
+        b = make_array(device, np.float32, 16)
+
+        def kernel(ctx, a, b):
+            lane = ctx.thread_idx.x
+            array = a if lane % 2 else b
+            yield st(array, bad if lane == 9 else lane, 1.0)
+
+        with pytest.raises(InvalidDeviceAccess, match=f"index {bad}"):
+            device.launch(kernel, 1, 16, (a, b))
+
+    def test_in_bounds_round_reads_and_writes_both_arrays(self, device):
+        a = make_array(device, np.float32, 16)
+        b = make_array(device, np.float32, 16)
+        device.memory.copy_in(a.ptr, np.arange(16, dtype=np.float32))
+        device.memory.copy_in(b.ptr, -np.arange(16, dtype=np.float32))
+
+        def kernel(ctx, a, b):
+            lane = ctx.thread_idx.x
+            src, dst = (a, b) if lane % 2 else (b, a)
+            v = yield ld(src, lane)
+            yield st(dst, lane, v * 10.0)
+
+        device.launch(kernel, 1, 16, (a, b))
+        got_a = device.memory.copy_out(a.ptr, 64).view(np.float32)
+        got_b = device.memory.copy_out(b.ptr, 64).view(np.float32)
+        lanes = np.arange(16, dtype=np.float32)
+        odd = lanes % 2 == 1
+        np.testing.assert_array_equal(got_a[odd], lanes[odd])
+        np.testing.assert_array_equal(got_a[~odd], -lanes[~odd] * 10)
+        np.testing.assert_array_equal(got_b[odd], lanes[odd] * 10)
+        np.testing.assert_array_equal(got_b[~odd], -lanes[~odd])
