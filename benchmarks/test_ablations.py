@@ -2,9 +2,9 @@
 
 Not paper figures — these quantify *why* the paper's choices work:
 block-size/occupancy, the lazy-copy transfer savings, the const-ref
-elision, the v3/v4 local-memory decision at kernel level, and the two
-chapter-7 extensions (read-only cache placement, grid-accelerated
-neighbor search).
+elision, the v3/v4 local-memory decision at kernel level, and the
+chapter-7 read-only cache placement.  The chapter-7 grid-bucketed
+neighbor search has its own experiment, ``million-boids``.
 """
 
 import numpy as np
@@ -65,7 +65,7 @@ def test_block_size_sweep(benchmark):
 
 
 # ----------------------------------------------------------------------
-def run_transfer_by_version():
+def run_transfer_per_version():
     rows = []
     totals = {}
     for v in (1, 2, 3, 4, 5):
@@ -90,7 +90,7 @@ def run_transfer_by_version():
 
 
 def test_lazy_copy_transfer_savings(benchmark):
-    report, totals = benchmark.pedantic(run_transfer_by_version, rounds=3, iterations=1)
+    report, totals = benchmark.pedantic(run_transfer_per_version, rounds=3, iterations=1)
     emit(report)
     assert totals[5] == 0.0
     assert totals[3] > 0.0
@@ -279,64 +279,3 @@ def test_multicore_cpu_never_catches_the_gpu(benchmark):
     # ...but still >5x behind the GPU at 8 cores.
     assert speedups[8] > 5.0
     assert speedups[1] > 30.0
-
-
-# ----------------------------------------------------------------------
-def run_grid_vs_brute():
-    from repro.cupp import Device, Kernel, Vector
-    from repro.gpusteer import (
-        MAX_NEIGHBORS,
-        find_neighbors_grid,
-        find_neighbors_v2,
-        project_cost,
-    )
-    from repro.gpusteer.grid_search import HostGrid
-
-    rng = np.random.default_rng(17)
-
-    def measure(n):
-        cloud = rng.uniform(-45, 45, size=(n, 3)).astype(np.float32)
-        dev = Device()
-        grid = HostGrid(DEFAULT_PARAMS.world_radius, DEFAULT_PARAMS.search_radius)
-        grid.build(cloud.astype(np.float64))
-        pos = Vector(cloud.reshape(-1), dtype=np.float32)
-        res = Vector(np.full(MAX_NEIGHBORS * n, -1, np.int32), dtype=np.int32)
-        Kernel(find_neighbors_grid, n // 32, 32)(
-            dev, grid, pos, DEFAULT_PARAMS.search_radius, res
-        )
-        return dev.runtime.last_launch.profile
-
-    p32, p64 = measure(32), measure(64)
-    rows = []
-    times = {}
-    for n_target in (1024, 4096, 16384):
-        grid_inputs = project_cost(p32, p64, 32, 64, n_target, THREADS_PER_BLOCK)
-        brute_inputs = neighbor_v2_cost(
-            LaunchGeometry(n_target, THREADS_PER_BLOCK),
-            WorkloadStats.estimate(n_target, DEFAULT_PARAMS),
-        )
-        tg = kernel_time(grid_inputs).total_s
-        tb = kernel_time(brute_inputs).total_s
-        times[n_target] = (tg, tb)
-        rows.append(
-            (n_target, round(tg * 1e3, 3), round(tb * 1e3, 3), round(tb / tg, 1))
-        )
-    report = format_table(
-        "Ablation — grid-accelerated vs brute-force neighbor search (ch. 7)",
-        ["agents", "grid [ms]", "brute v2 [ms]", "speedup"],
-        rows,
-        note="Host-built uniform grid (O(n) counting sort), CSR layout on "
-        "the device: the kernel scans 27 cells instead of all agents.",
-    )
-    return report, times
-
-
-def test_grid_beats_brute_at_scale(benchmark):
-    report, times = benchmark.pedantic(run_grid_vs_brute, rounds=1, iterations=1)
-    emit(report)
-    for n_target, (tg, tb) in times.items():
-        if n_target >= 4096:
-            assert tg < tb, f"grid should win at {n_target}"
-    # And the advantage grows with population.
-    speedups = [tb / tg for tg, tb in times.values()]
-    assert speedups == sorted(speedups)

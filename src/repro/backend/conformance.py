@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.gpusteer.versions import DEVICE_VERSIONS
+
 #: Max absolute difference allowed on float arrays.  The twins are
 #: bit-exact by construction; the bound exists so the suite degrades
 #: into a meaningful tolerance check if a platform's libm ever differs.
@@ -142,7 +144,7 @@ def run_differential(
 
 
 def run_suite(
-    versions=(1, 2, 3, 4, 5, 6), agents: int = 32, steps: int = 3, seed: int = 7
+    versions=DEVICE_VERSIONS, agents: int = 32, steps: int = 3, seed: int = 7
 ) -> "list[ConformanceReport]":
     """The full differential suite: every pipeline version."""
     return [

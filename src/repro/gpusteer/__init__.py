@@ -24,12 +24,6 @@ from repro.gpusteer.cost_model import (
 )
 from repro.gpusteer.double_buffer import FrameTimings, compare, simulate_frames
 from repro.gpusteer.emulated import EmulatedBoids
-from repro.gpusteer.grid_search import (
-    DeviceGrid,
-    HostGrid,
-    find_neighbors_grid,
-    project_cost,
-)
 from repro.gpusteer.kernels_emu import (
     MAX_NEIGHBORS,
     find_neighbors_v1,
@@ -41,22 +35,21 @@ from repro.gpusteer.kernels_emu import (
 from repro.gpusteer.pipeline import GpuBoidsRun, RunResult, version_ladder
 from repro.gpusteer.versions import (
     CPU_VERSION,
+    DEVICE_VERSIONS,
     THREADS_PER_BLOCK,
     UpdateBreakdown,
     VERSIONS,
     VersionSpec,
+    kernel_costs,
     speedup_vs_cpu,
     update_time,
 )
 
 __all__ = [
     "CPU_VERSION",
-    "DeviceGrid",
+    "DEVICE_VERSIONS",
     "EmulatedBoids",
     "FrameTimings",
-    "HostGrid",
-    "find_neighbors_grid",
-    "project_cost",
     "GpuBoidsRun",
     "LaunchGeometry",
     "MAX_NEIGHBORS",
@@ -69,6 +62,7 @@ __all__ = [
     "compare",
     "find_neighbors_v1",
     "find_neighbors_v2",
+    "kernel_costs",
     "modify_cost",
     "modify_kernel",
     "neighbor_v1_cost",

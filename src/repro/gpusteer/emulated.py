@@ -36,6 +36,7 @@ from repro.gpusteer.kernels_emu import (
     simulate_v3,
     simulate_v4,
 )
+from repro.gpusteer.versions import DEVICE_VERSIONS
 from repro.steer.agent import spawn_agents
 from repro.steer.behaviors import flocking_np
 from repro.steer.params import BoidsParams, DEFAULT_PARAMS
@@ -69,7 +70,7 @@ class EmulatedBoids:
                 f"agent count {n} must be a multiple of threads_per_block "
                 f"({threads_per_block}) — §6.2.1"
             )
-        if version not in (1, 2, 3, 4, 5, 6):
+        if version not in DEVICE_VERSIONS:
             raise ValueError(f"unknown development version {version}")
         self.version = version
         self.params = params

@@ -17,12 +17,13 @@ Version 6 is the chapter-7 extension: the host rebuilds a
 device scans only the 27-cell neighborhood — O(n·k) in place of the
 all-pairs O(n²).
 
-:class:`VersionSpec` is the feature matrix; :func:`update_time` is the
+:class:`VersionSpec` is the feature matrix; :func:`kernel_costs` is the
+one list of the kernels each version launches; :func:`update_time` is the
 per-version timing model that combines host work (CPU cost model), kernel
-times (closed-form counts -> analytic perf model), and transfers (PCIe
-model).  The correctness of each version's *computation* is established
-separately, by running the emulated kernels against the pure reference
-(``tests/gpusteer/``).
+times (those closed-form counts -> analytic perf model), and transfers
+(PCIe model).  The correctness of each version's *computation* is
+established separately, by running the emulated kernels against the pure
+reference (``tests/gpusteer/``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.gpusteer.cost_model import (
     simulate_grid_cost,
 )
 from repro.simgpu.arch import ArchSpec, G80_8800GTS
-from repro.simgpu.perfmodel import kernel_time
+from repro.simgpu.perfmodel import KernelCostInputs, kernel_time
 from repro.steer.params import BoidsParams
 
 #: Block size the GPU port launches with (agents padded to a multiple).
@@ -91,6 +92,9 @@ VERSIONS: dict[int, VersionSpec] = {
     ),
 }
 
+#: The versions that launch device kernels (every row but the CPU one).
+DEVICE_VERSIONS: tuple[int, ...] = tuple(v for v in VERSIONS if v)
+
 
 @dataclass(frozen=True)
 class UpdateBreakdown:
@@ -124,6 +128,38 @@ def _cohort_size(n: int, params: BoidsParams) -> int:
     return THREADS_PER_BLOCK * math.ceil(thinkers / THREADS_PER_BLOCK)
 
 
+def kernel_costs(
+    version: int, n: int, params: BoidsParams, stats: WorkloadStats
+) -> "list[tuple[str, KernelCostInputs]]":
+    """The kernels one update stage of ``version`` launches, in order.
+
+    One ``(kernel_name, KernelCostInputs)`` row per launch, named after
+    the emulated kernel it models.  The neighbor and simulate kernels
+    run over the thinking cohort; the modification kernel over every
+    agent.  The CPU version launches nothing.
+    """
+    spec = VERSIONS[version]
+    if not spec.neighbor_on_device:
+        return []
+    geom = LaunchGeometry(_cohort_size(n, params), THREADS_PER_BLOCK)
+    if not spec.steering_on_device:
+        if spec.uses_shared_memory:
+            return [("find_neighbors_v2", neighbor_v2_cost(geom, stats))]
+        return [("find_neighbors_v1", neighbor_v1_cost(geom, stats))]
+    if spec.grid_neighbors:
+        simulate = ("simulate_grid", simulate_grid_cost(geom, stats))
+    elif spec.local_mem_caching:
+        simulate = ("simulate_v3", simulate_cost(geom, stats, local_cache=True))
+    else:
+        simulate = ("simulate_v4", simulate_cost(geom, stats, local_cache=False))
+    if not spec.modification_on_device:
+        return [simulate]
+    all_geom = LaunchGeometry(
+        THREADS_PER_BLOCK * math.ceil(n / THREADS_PER_BLOCK), THREADS_PER_BLOCK
+    )
+    return [simulate, ("modify_kernel", modify_cost(all_geom))]
+
+
 def update_time(
     version: int,
     n: int,
@@ -132,23 +168,17 @@ def update_time(
     calib: Calibration = DEFAULT_CALIBRATION,
     arch: ArchSpec = G80_8800GTS,
 ) -> UpdateBreakdown:
-    """Model one update stage of ``version`` at population ``n``."""
+    """Model one update stage of ``version`` at population ``n``.
+
+    Kernel time and launch count come from :func:`kernel_costs`; the
+    per-version branches below add the host work and the transfers.
+    """
     spec = VERSIONS[version]
     cpu = calib.cpu_model()
     pcie = calib.pcie_model()
     if stats is None:
         stats = WorkloadStats.estimate(n, params, calib.density_clustering)
     thinkers = max(1, n // params.think_every)
-    cohort_threads = _cohort_size(n, params)
-    geom = LaunchGeometry(cohort_threads, THREADS_PER_BLOCK)
-    all_geom = LaunchGeometry(
-        THREADS_PER_BLOCK * math.ceil(n / THREADS_PER_BLOCK), THREADS_PER_BLOCK
-    )
-
-    host = 0.0
-    gpu = 0.0
-    transfer = 0.0
-    launches = 0
 
     if not spec.neighbor_on_device:
         # Pure CPU version: everything on the host.
@@ -160,14 +190,16 @@ def update_time(
             launch_overhead_s=0.0,
         )
 
+    rows = kernel_costs(version, n, params, stats)
+    gpu = sum(kernel_time(inputs, arch).total_s for _, inputs in rows)
+    host = 0.0
+    transfer = 0.0
+
     if not spec.steering_on_device:
         # v1/v2: neighbor kernel only.  Host extracts positions each frame
         # (listing 6.1), then finishes steering + modification itself.
         host += calib.extract_seconds(3 * n)  # positions into cupp::vector
         transfer += pcie.transfer_time(12 * n)  # positions upload
-        kernel = neighbor_v1_cost if version == 1 else neighbor_v2_cost
-        gpu += kernel_time(kernel(geom, stats), arch).total_s
-        launches += 1
         transfer += pcie.transfer_time(4 * 7 * thinkers)  # results download
         host += calib.extract_seconds(7 * thinkers)  # results back out
         host += cpu.seconds(cpu.steering_cycles(thinkers))
@@ -178,11 +210,6 @@ def update_time(
         host += calib.extract_seconds(6 * n)  # positions + forwards out
         transfer += pcie.transfer_time(12 * n)  # positions
         transfer += pcie.transfer_time(12 * n)  # forwards
-        gpu += kernel_time(
-            simulate_cost(geom, stats, local_cache=spec.local_mem_caching),
-            arch,
-        ).total_s
-        launches += 1
         transfer += pcie.transfer_time(12 * thinkers)  # steering download
         host += calib.extract_seconds(3 * thinkers)
         host += cpu.seconds(cpu.modification_cycles(n))
@@ -202,25 +229,16 @@ def update_time(
         transfer += pcie.transfer_time(4 * n)  # members
         transfer += pcie.transfer_time(4 * (segments + 1))  # starts
         transfer += pcie.transfer_time(capacity * 12)  # directory
-        gpu += kernel_time(simulate_grid_cost(geom, stats), arch).total_s
-        gpu += kernel_time(modify_cost(all_geom), arch).total_s
-        launches += 2
-    else:
-        # v5: everything stays on the device; lazy copying (§4.6) means no
-        # per-frame uploads at all — only the draw matrices come back
-        # (handled in the frame model, not the update stage).
-        gpu += kernel_time(
-            simulate_cost(geom, stats, local_cache=False), arch
-        ).total_s
-        gpu += kernel_time(modify_cost(all_geom), arch).total_s
-        launches += 2
+    # v5: everything stays on the device; lazy copying (§4.6) means no
+    # per-frame uploads at all — only the draw matrices come back
+    # (handled in the frame model, not the update stage).
 
     return UpdateBreakdown(
         version,
         host_compute_s=host,
         gpu_kernel_s=gpu,
         transfer_s=transfer,
-        launch_overhead_s=launches * calib.launch_overhead_s,
+        launch_overhead_s=len(rows) * calib.launch_overhead_s,
     )
 
 

@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 
+from repro.gpusteer.versions import DEVICE_VERSIONS
 from repro.prof.report import (
     diff_reports,
     render_diff,
@@ -34,8 +35,6 @@ from repro.prof.report import (
     session_report,
 )
 from repro.prof.session import ProfSession
-
-PIPELINE_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 
 def parse_target(raw: str) -> "tuple[str, object]":
@@ -48,7 +47,7 @@ def parse_target(raw: str) -> "tuple[str, object]":
         return backend, "serve"
     if rest.startswith("v") and rest[1:].isdigit():
         version = int(rest[1:])
-        if version in PIPELINE_VERSIONS:
+        if version in DEVICE_VERSIONS:
             return backend, version
     raise ValueError(
         f"unknown target {raw!r}; expected v1..v6 or serve, "

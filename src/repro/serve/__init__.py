@@ -16,7 +16,7 @@ latency, throughput, and batch/launch statistics.
 
 from repro.serve.admission import POLICIES, AdmissionController
 from repro.serve.batcher import Batch, DynamicBatcher
-from repro.serve.engine import LAUNCHES_PER_BATCH, StepEngine
+from repro.serve.engine import StepEngine
 from repro.serve.request import (
     FAILED_STATUSES,
     TERMINAL_STATUSES,
@@ -42,7 +42,6 @@ __all__ = [
     "DeviceScheduler",
     "DynamicBatcher",
     "FAILED_STATUSES",
-    "LAUNCHES_PER_BATCH",
     "POLICIES",
     "RequestStatus",
     "RetryPolicy",

@@ -1,14 +1,15 @@
 """The step engine: what one fused launch costs and computes.
 
-A fused serving launch is the v5 update stage (Table 6.1: everything on
-the device) applied to every session in the batch.  The sessions are
-separate worlds — neighbor searches never cross session boundaries — so
-the fused kernel's execution time is the *sum* of the per-session kernel
-times from :func:`repro.gpusteer.versions.update_time`, while the fixed
-costs (two kernel launches, one result transfer) are paid once per
-batch.  That additivity is precisely the amortization the batcher
-exploits; it is also why the modelled numbers stay honest: batching
-never makes the compute itself cheaper, only the overhead.
+A fused serving launch is one version's update-stage kernels (v5 by
+default, Table 6.1: everything on the device) applied to every session
+in the batch.  The sessions are separate worlds — neighbor searches
+never cross session boundaries — so the fused kernel's execution time is
+the *sum* of the per-session kernel times of
+:func:`repro.gpusteer.versions.kernel_costs`, while the fixed costs (one
+launch per kernel, one result transfer) are paid once per batch.  That
+additivity is precisely the amortization the batcher exploits; it is
+also why the modelled numbers stay honest: batching never makes the
+compute itself cheaper, only the overhead.
 
 Kernel seconds are cached per population size — a serving process sees
 the same session sizes over and over.
@@ -17,13 +18,17 @@ the same session sizes over and over.
 from __future__ import annotations
 
 from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.gpusteer.versions import DRAW_MATRIX_BYTES, update_time
+from repro.cupp.exceptions import CuppUsageError
+from repro.gpusteer.cost_model import WorkloadStats
+from repro.gpusteer.versions import (
+    DEVICE_VERSIONS,
+    DRAW_MATRIX_BYTES,
+    THREADS_PER_BLOCK,
+    kernel_costs,
+)
 from repro.serve.sessions import Session
+from repro.simgpu.perfmodel import kernel_time
 from repro.steer.params import BoidsParams, DEFAULT_PARAMS
-
-#: Kernel launches per fused batch: the v5 simulation substage kernel
-#: plus the modification kernel (§6.3.1).
-LAUNCHES_PER_BATCH = 2
 
 
 class StepEngine:
@@ -35,19 +40,35 @@ class StepEngine:
         calib: Calibration = DEFAULT_CALIBRATION,
         version: int = 5,
     ) -> None:
+        if version not in DEVICE_VERSIONS:
+            raise CuppUsageError(
+                f"serving needs a device version {DEVICE_VERSIONS}, "
+                f"got {version!r}"
+            )
         self.params = params
         self.calib = calib
         self.version = version
         self._kernel_cache: "dict[int, float]" = {}
         self._cost_rows_cache: "dict[int, list]" = {}
+        #: Kernel launches per fused batch: one per kernel of the
+        #: version's update stage (the list is the same at any size).
+        self.launches_per_batch = len(self._kernel_costs(THREADS_PER_BLOCK))
+
+    def _kernel_costs(self, n: int) -> list:
+        stats = WorkloadStats.estimate(
+            n, self.params, self.calib.density_clustering
+        )
+        return kernel_costs(self.version, n, self.params, stats)
 
     # ------------------------------------------------------------------
     def kernel_seconds(self, n: int) -> float:
-        """Device seconds for one session of ``n`` agents (v5 kernels)."""
+        """Device seconds for one session of ``n`` agents: the sum of
+        :meth:`kernel_cost_rows`, in launch order."""
         cached = self._kernel_cache.get(n)
         if cached is None:
-            breakdown = update_time(self.version, n, self.params, calib=self.calib)
-            cached = self._kernel_cache[n] = breakdown.gpu_kernel_s
+            cached = self._kernel_cache[n] = sum(
+                secs for _, _, secs in self.kernel_cost_rows(n)
+            )
         return cached
 
     def batch_kernel_seconds(self, sessions: "list[Session]") -> float:
@@ -57,56 +78,17 @@ class StepEngine:
     def kernel_cost_rows(self, n: int) -> "list[tuple[str, object, float]]":
         """Per-kernel cost rows for one session of ``n`` agents.
 
-        Splits :meth:`kernel_seconds` into the individual kernels the
-        version launches — ``(kernel_name, KernelCostInputs, seconds)``
-        per row, exactly the geometry :func:`update_time` models — so an
-        attached :class:`repro.prof.session.ProfSession` can attribute
-        serve-plane device time per kernel.  Cached per population size
-        like the kernel-seconds cache.
+        The kernels :func:`repro.gpusteer.versions.kernel_costs` lists
+        for the version, as ``(kernel_name, KernelCostInputs, seconds)``
+        per row, so an attached :class:`repro.prof.session.ProfSession`
+        can attribute serve-plane device time per kernel.  Cached per
+        population size.
         """
         rows = self._cost_rows_cache.get(n)
         if rows is None:
-            import math
-
-            from repro.gpusteer.cost_model import (
-                LaunchGeometry,
-                WorkloadStats,
-                modify_cost,
-                neighbor_v1_cost,
-                neighbor_v2_cost,
-                simulate_cost,
-                simulate_grid_cost,
-            )
-            from repro.gpusteer.versions import THREADS_PER_BLOCK, _cohort_size
-            from repro.simgpu.perfmodel import kernel_time
-
-            stats = WorkloadStats.estimate(
-                n, self.params, self.calib.density_clustering
-            )
-            geom = LaunchGeometry(
-                _cohort_size(n, self.params), THREADS_PER_BLOCK
-            )
-            all_geom = LaunchGeometry(
-                THREADS_PER_BLOCK * math.ceil(n / THREADS_PER_BLOCK),
-                THREADS_PER_BLOCK,
-            )
-            by_version = {
-                1: [("find_neighbors_v1", neighbor_v1_cost(geom, stats))],
-                2: [("find_neighbors_v2", neighbor_v2_cost(geom, stats))],
-                3: [("simulate_v3", simulate_cost(geom, stats, local_cache=True))],
-                4: [("simulate_v4", simulate_cost(geom, stats, local_cache=False))],
-                5: [
-                    ("simulate_v4", simulate_cost(geom, stats, local_cache=False)),
-                    ("modify_kernel", modify_cost(all_geom)),
-                ],
-                6: [
-                    ("simulate_grid", simulate_grid_cost(geom, stats)),
-                    ("modify_kernel", modify_cost(all_geom)),
-                ],
-            }
             rows = self._cost_rows_cache[n] = [
                 (name, inputs, kernel_time(inputs).total_s)
-                for name, inputs in by_version[self.version]
+                for name, inputs in self._kernel_costs(n)
             ]
         return rows
 

@@ -39,6 +39,7 @@ from repro import obs
 from repro.backend.base import normalize_backends
 from repro.common.errors import ConfigurationError
 from repro.fault import FaultConfig
+from repro.gpusteer.versions import DEVICE_VERSIONS
 from repro.serve.request import (
     FAILED_STATUSES,
     TERMINAL_STATUSES,
@@ -425,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version",
         type=int,
         default=5,
-        choices=(1, 2, 3, 4, 5, 6),
+        choices=DEVICE_VERSIONS,
         help="gpusteer pipeline version to serve (6 = grid-bucketed "
         "neighbor search over cupp.containers)",
     )

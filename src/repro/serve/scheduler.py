@@ -52,7 +52,7 @@ from repro.cupp.vector import Vector
 from repro.fault import InjectedFault
 from repro.prof import hook as prof_hook
 from repro.serve.batcher import Batch
-from repro.serve.engine import LAUNCHES_PER_BATCH, StepEngine
+from repro.serve.engine import StepEngine
 from repro.serve.request import StepRequest
 from repro.serve.sessions import Session
 from repro.simgpu.arch import scaled_arch
@@ -505,7 +505,7 @@ class DeviceScheduler:
                 session.resident_on = None
             raise InjectedFault("oom", sub.device_index) from exc
 
-        # The fused v5 kernels: asynchronous launches, additive cost.
+        # The version's fused kernels: asynchronous launches, additive cost.
         # Sim devices advance their virtual clock by the perf model;
         # native devices by the EWMA-corrected wall-clock prediction.
         kernel_s = self.predict_kernel_s(sub.device_index, sub.sessions, engine)
@@ -523,10 +523,10 @@ class DeviceScheduler:
                     )
         if self.streams > 1:
             compute = self._compute_streams[sub.device_index]
-            for _ in range(LAUNCHES_PER_BATCH - 1):
+            for _ in range(engine.launches_per_batch - 1):
                 tl.stream_launch(compute, 0.0)  # launch cost only
             op = tl.stream_launch(compute, kernel_s + hang_s)
-            obs.counter("repro.serve.launches").inc(LAUNCHES_PER_BATCH)
+            obs.counter("repro.serve.launches").inc(engine.launches_per_batch)
             self.busy.add(sub.device_index)
             self.inflight_count[sub.device_index] += 1
             sub.completion_s = op.end_s
@@ -544,10 +544,10 @@ class DeviceScheduler:
                     )
             return sub.completion_s
 
-        for _ in range(LAUNCHES_PER_BATCH - 1):
-            tl.launch_kernel(0.0)  # simulate/modify boundary: launch cost only
+        for _ in range(engine.launches_per_batch - 1):
+            tl.launch_kernel(0.0)  # kernel boundary: launch cost only
         tl.launch_kernel(kernel_s + hang_s)
-        obs.counter("repro.serve.launches").inc(LAUNCHES_PER_BATCH)
+        obs.counter("repro.serve.launches").inc(engine.launches_per_batch)
 
         self.busy.add(sub.device_index)
         self.inflight_count[sub.device_index] = 1

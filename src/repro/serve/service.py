@@ -805,7 +805,7 @@ class SimulationService:
                                 + predicted
                                 + self.retry.batch_timeout_s
                             )
-                    self.stats.launches += 2
+                    self.stats.launches += self.engine.launches_per_batch
                     self._in_flight.append(sub)
 
     def _complete(self, sub: SubBatch) -> None:

@@ -12,7 +12,9 @@ seven lexicographically smallest ``(d2, index)`` pairs:
 * their native numpy twins,
 * the three host engines (pure, blocked numpy, kdtree).
 
-This is the test that retires the documented keep-7 tie caveat.
+This is the test that retires the documented keep-7 tie caveat.  A
+second input, a dense cluster where every neighbor list overflows seven,
+runs the same engines against the same oracle.
 """
 
 from __future__ import annotations
@@ -53,12 +55,16 @@ def _tie_positions() -> np.ndarray:
     return pos
 
 
-POS = _tie_positions()
+def _dense_cluster() -> np.ndarray:
+    """32 agents in a 12-unit cube: a handful of grid cells, each holding
+    many agents, and everyone in radius of almost everyone else."""
+    rng = np.random.default_rng(5)
+    return rng.uniform(-6, 6, size=(N, 3)).astype(np.float32)
 
 
-def _expected_keep7() -> "list[tuple[int, ...]]":
+def _expected_keep7(pos: np.ndarray) -> "list[tuple[int, ...]]":
     """The oracle: smallest seven (d2, index) pairs, brute force."""
-    p64 = POS.astype(np.float64)
+    p64 = pos.astype(np.float64)
     rows = []
     for i in range(N):
         d2 = np.sum((p64 - p64[i]) ** 2, axis=1)
@@ -71,9 +77,6 @@ def _expected_keep7() -> "list[tuple[int, ...]]":
     return rows
 
 
-EXPECTED = _expected_keep7()
-
-
 def _row_sets(results: np.ndarray) -> "list[tuple[int, ...]]":
     return [
         tuple(sorted(int(j) for j in row if j != NO_NEIGHBOR))
@@ -81,54 +84,44 @@ def _row_sets(results: np.ndarray) -> "list[tuple[int, ...]]":
     ]
 
 
-def _host_sets(engine) -> np.ndarray:
-    p64 = POS.astype(np.float64)
+def _host_sets(engine, pos: np.ndarray) -> np.ndarray:
+    p64 = pos.astype(np.float64)
     if engine is neighbor_search_all_pure:
         return engine([Vec3(*row) for row in p64], DEFAULT_PARAMS)
     return engine(p64, DEFAULT_PARAMS)
 
 
-def _device_sets(version: int, backend: str) -> np.ndarray:
+def _device_sets(pos: np.ndarray, version: int, backend: str) -> np.ndarray:
     from repro.simgpu import scaled_arch
 
     arch = scaled_arch(f"oracle-{backend}", 2, memory_bytes=1 << 22)
     device = Device(machine=CudaMachine([arch], backend=backend))
     eb = EmulatedBoids(N, version=version, seed=0, device=device)
-    eb._write_vec3(eb.positions, POS)
+    eb._write_vec3(eb.positions, pos)
     eb.step()
     return eb.neighbor_sets()
 
 
-@pytest.fixture(scope="module")
-def device_results() -> "dict[tuple[int, str], np.ndarray]":
-    return {
-        (version, backend): _device_sets(version, backend)
-        for version in (2, 6)
-        for backend in ("sim", "native")
-    }
+class _KeepSevenOracle:
+    """Every engine against the brute-force oracle on the class's ``POS``."""
 
+    POS: np.ndarray
 
-class TestManufacturedTies:
-    def test_the_tie_actually_straddles_the_cut(self):
-        # Ten in-radius candidates for agent 0, eight of them at the
-        # same exact distance — the selection is forced to split a tie.
-        p64 = POS.astype(np.float64)
-        d2 = np.sum((p64 - p64[0]) ** 2, axis=1)[1:11]
-        assert np.count_nonzero(d2 == 12.0) == 8
-        assert EXPECTED[0] == (1, 2, 3, 4, 5, 9, 10)
+    @pytest.fixture(scope="class")
+    def device_results(self) -> "dict[tuple[int, str], np.ndarray]":
+        return {
+            (version, backend): _device_sets(self.POS, version, backend)
+            for version in (2, 6)
+            for backend in ("sim", "native")
+        }
 
     @pytest.mark.parametrize("version", [2, 6])
     @pytest.mark.parametrize("backend", ["sim", "native"])
     def test_device_engines_match_the_oracle(
         self, device_results, version, backend
     ):
-        assert _row_sets(device_results[(version, backend)]) == EXPECTED
-
-    @pytest.mark.parametrize("version", [2, 6])
-    def test_backends_bit_identical_under_ties(self, device_results, version):
-        assert np.array_equal(
-            device_results[(version, "sim")],
-            device_results[(version, "native")],
+        assert _row_sets(device_results[(version, backend)]) == (
+            _expected_keep7(self.POS)
         )
 
     def test_grid_bit_identical_to_all_pairs(self, device_results):
@@ -150,10 +143,38 @@ class TestManufacturedTies:
         ids=["pure", "numpy", "kdtree"],
     )
     def test_host_engines_match_the_oracle(self, engine):
-        assert _row_sets(_host_sets(engine)) == EXPECTED
+        assert _row_sets(_host_sets(engine, self.POS)) == (
+            _expected_keep7(self.POS)
+        )
 
     def test_host_engines_agree_elementwise(self):
-        pure = _host_sets(neighbor_search_all_pure)
-        fast = _host_sets(neighbor_search_all_numpy)
-        tree = _host_sets(neighbor_search_all_kdtree)
+        pure = _host_sets(neighbor_search_all_pure, self.POS)
+        fast = _host_sets(neighbor_search_all_numpy, self.POS)
+        tree = _host_sets(neighbor_search_all_kdtree, self.POS)
         assert _row_sets(pure) == _row_sets(fast) == _row_sets(tree)
+
+
+class TestManufacturedTies(_KeepSevenOracle):
+    POS = _tie_positions()
+
+    def test_the_tie_actually_straddles_the_cut(self):
+        # Ten in-radius candidates for agent 0, eight of them at the
+        # same exact distance — the selection is forced to split a tie.
+        p64 = self.POS.astype(np.float64)
+        d2 = np.sum((p64 - p64[0]) ** 2, axis=1)[1:11]
+        assert np.count_nonzero(d2 == 12.0) == 8
+        assert _expected_keep7(self.POS)[0] == (1, 2, 3, 4, 5, 9, 10)
+
+    @pytest.mark.parametrize("version", [2, 6])
+    def test_backends_bit_identical_under_ties(self, device_results, version):
+        assert np.array_equal(
+            device_results[(version, "sim")],
+            device_results[(version, "native")],
+        )
+
+
+class TestDenseCluster(_KeepSevenOracle):
+    """Many agents per cell: every list fills and the grid's per-cell
+    member scans are long."""
+
+    POS = _dense_cluster()

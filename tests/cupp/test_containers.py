@@ -6,8 +6,9 @@ Three layers, mirroring the subsystem's design:
   FlatMap behaves like a ``dict``, the HashGrid never loses or
   duplicates an agent across rebuilds, and the 27-cell candidate set is
   a superset of every brute-force in-radius neighborhood;
-* the **CuPP protocol**: first ``transform()`` uploads (``grid-build``
-  ledger bytes, ``cupp.containers.uploads``), repeats are lazy hits,
+* the **CuPP protocol**: the §4.5 host/device type binding is 1:1,
+  first ``transform()`` uploads (``grid-build`` ledger bytes,
+  ``cupp.containers.uploads``), repeats are lazy hits,
   rebuilds invalidate, size changes realloc, and ``dirty()`` refuses —
   containers are const on the device (paper ch. 7);
 * the **device twins** round-trip their pack()/unpack() kernel-argument
@@ -262,6 +263,15 @@ class TestCuppProtocol:
         grid = HashGrid(cell_edge=2.0)
         grid.build(rng.uniform(-8, 8, (n, 3)).astype(np.float32))
         return grid
+
+    @pytest.mark.parametrize(
+        "host", [HashGrid, FlatMap], ids=lambda c: c.__name__
+    )
+    def test_type_binding_is_1_to_1(self, host):
+        from repro.cupp import validate_binding
+
+        validate_binding(host)
+        validate_binding(host.device_type)
 
     def test_first_transform_uploads_with_grid_build_cause(
         self, dev, fresh_obs

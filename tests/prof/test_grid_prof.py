@@ -46,6 +46,25 @@ class TestGridCoalescingStory:
             < scan_v1.uncoalesced_read_bytes / 2
         )
 
+    def test_instructions_grow_slower_than_all_pairs(self, v6):
+        # Doubling the flock (same world) roughly quadruples v2's
+        # all-pairs scan; v6's 27-cell scan grows far less.  At these
+        # sizes the grid still executes more instructions in total: its
+        # fixed 27-cell probe and per-lane divergence dominate until the
+        # flock is much larger (the million-boids experiment).
+        def instructions(version, kernel, agents):
+            return profile_pipeline(version, agents=agents).kernels[
+                kernel
+            ].instructions
+
+        grid_growth = v6.kernels["simulate_grid"].instructions / (
+            instructions(6, "simulate_grid", 64)
+        )
+        all_pairs_growth = instructions(
+            2, "find_neighbors_v2", 128
+        ) / instructions(2, "find_neighbors_v2", 64)
+        assert grid_growth < all_pairs_growth
+
     def test_v6_profiles_the_expected_kernels(self, v6):
         assert set(v6.kernels) == {"simulate_grid", "modify_kernel"}
         assert v6.launch_count == 2
