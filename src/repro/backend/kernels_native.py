@@ -34,7 +34,12 @@ import numpy as np
 
 from repro.backend.native import native_kernel
 from repro.cupp.containers.flatmap import EMPTY_KEY
-from repro.cupp.containers.hashgrid import _AXIS_MAX, axis_cell, pack_cell_key
+from repro.cupp.containers.hashgrid import (
+    _AXIS_MAX,
+    CELL_KEY_BITS,
+    cell_coords,
+    pack_cell_key,
+)
 from repro.gpusteer.kernels_emu import (
     MAX_NEIGHBORS,
     NO_NEIGHBOR,
@@ -46,6 +51,7 @@ from repro.gpusteer.kernels_emu import (
 )
 from repro.gpusteer.kernels_grid import find_neighbors_hash, simulate_grid
 from repro.simgpu.memory import InvalidDeviceAccess
+from repro.steer.neighbors import keep_nearest
 
 F64 = np.float64
 
@@ -96,11 +102,7 @@ def _neighbor_candidates(pos: np.ndarray, m: int, r2: float):
     oz = my[:, None, 2] - pos[None, :, 2]
     d2 = (ox * ox + oy * oy) + oz * oz
     in_radius = (d2 < r2) & (np.arange(n)[None, :] != np.arange(m)[:, None])
-    ranked = np.where(in_radius, d2, np.inf)
-    # Stable sort on d2 breaks ties by ascending index == sort by (d2, j).
-    order = np.argsort(ranked, axis=1, kind="stable")[:, :MAX_NEIGHBORS]
-    found = np.take_along_axis(ranked, order, axis=1) < np.inf
-    return order, found
+    return keep_nearest(d2, in_radius, MAX_NEIGHBORS)
 
 
 def _steering_from_neighbors(
@@ -147,6 +149,13 @@ def _steering_from_neighbors(
     return (a + b) + c
 
 
+def _store_results(results, order: np.ndarray, found: np.ndarray, m: int) -> None:
+    """Store the gather as result slots, NO_NEIGHBOR-padded to 7 columns."""
+    out = np.full((m, MAX_NEIGHBORS), NO_NEIGHBOR, np.int32)
+    out[:, : order.shape[1]] = np.where(found, order, NO_NEIGHBOR)
+    results.view._raw()[: m * MAX_NEIGHBORS] = out.reshape(-1)
+
+
 def _find_neighbors(device, grid_dim, block_dim, args) -> None:
     positions, search_radius, results = args
     m = _threads(grid_dim, block_dim)
@@ -158,14 +167,7 @@ def _find_neighbors(device, grid_dim, block_dim, args) -> None:
     pos = _load3(positions, n)
     r2 = float(search_radius * search_radius)
     order, found = _neighbor_candidates(pos, m, r2)
-    # Fewer than MAX_NEIGHBORS agents in the world: the candidate scan
-    # yields fewer than 7 columns; the remaining slots stay NO_NEIGHBOR,
-    # as with the emulator's unfilled result slots.
-    out = np.full((m, MAX_NEIGHBORS), NO_NEIGHBOR, np.int32)
-    cols = order.shape[1]
-    out[:, :cols] = np.where(found, order, NO_NEIGHBOR).astype(np.int32)
-    res = results.view._raw()
-    res[: m * MAX_NEIGHBORS] = out.reshape(-1)
+    _store_results(results, order, found, m)
 
 
 # v1 and v2 visit the identical candidate set (the tile staging only
@@ -308,69 +310,118 @@ native_kernel(modify_kernel.impl)(_modify)
 # ----------------------------------------------------------------------
 
 
+#: The candidate budget of one slice of the grid query.  A slice is a
+#: run of consecutive agents; it expands fewer candidates than this
+#: plus its first agent's own 27-cell count, and the directory lookup
+#: runs over blocks of this many cell probes, which bounds the query's
+#: working set at a few MB however dense or sparse the flock is.
+GRID_SLICE_CANDIDATES = 1 << 14
+
+#: The 27 neighbor-cell offsets, x-major like ``_grid_scan``'s walk, as
+#: packed-key deltas: for an in-range neighbor cell, ``pack(c + d) ==
+#: pack(c) + delta(d)`` because no axis field over- or underflows.
+_AXIS_STEPS = np.array([-1, 0, 1], dtype=np.int64)
+_KEY_DELTAS = (
+    (_AXIS_STEPS[:, None, None] << (2 * CELL_KEY_BITS))
+    + (_AXIS_STEPS[None, :, None] << CELL_KEY_BITS)
+    + _AXIS_STEPS[None, None, :]
+).reshape(-1)
+_CELLS = _KEY_DELTAS.size
+
+
+def _cell_segments(hgrid, my_pos: np.ndarray):
+    """Per agent and neighbor cell, the CSR segment's ``(start, length)``.
+
+    The bulk form of ``_grid_scan``'s directory walk: neighbor cells
+    with an axis out of range are skipped (length 0), and the flat
+    map's probe becomes a ``searchsorted`` over its sorted occupied
+    keys.  Returns two (m, 27) int32 arrays; a missing cell has length 0.
+    """
+    keys_raw = hgrid.cells.keys._raw()
+    occupied = keys_raw != EMPTY_KEY
+    # Packed keys use 63 bits, so they are exact as int64.
+    dir_keys = keys_raw[occupied].astype(np.int64)
+    dir_segs = hgrid.cells.vals._raw()[occupied]
+    by_key = np.argsort(dir_keys)
+    dir_keys = dir_keys[by_key]
+    dir_segs = dir_segs[by_key]
+    starts = hgrid.starts._raw()
+
+    m = my_pos.shape[0]
+    seg_start = np.zeros((m, _CELLS), dtype=np.int32)
+    seg_len = np.zeros((m, _CELLS), dtype=np.int32)
+    if not dir_keys.size:
+        return seg_start, seg_len
+    block = GRID_SLICE_CANDIDATES // _CELLS
+    for a in range(0, m, block):
+        cells = cell_coords(my_pos[a : a + block], hgrid.cell_edge)
+        steps = cells[:, :, None] + _AXIS_STEPS  # (agent, axis, step)
+        axis_ok = (steps >= 0) & (steps <= _AXIS_MAX)
+        hit = (
+            axis_ok[:, 0, :, None, None]
+            & axis_ok[:, 1, None, :, None]
+            & axis_ok[:, 2, None, None, :]
+        ).reshape(-1, _CELLS)
+        keys = pack_cell_key(*cells.T)[:, None] + _KEY_DELTAS
+        slot = np.searchsorted(dir_keys, keys)
+        np.minimum(slot, dir_keys.size - 1, out=slot)
+        hit &= dir_keys[slot] == keys
+        seg = dir_segs[slot[hit]]
+        rows = slice(a, a + block)
+        seg_start[rows][hit] = starts[seg]
+        seg_len[rows][hit] = starts[seg + 1] - starts[seg]
+    return seg_start, seg_len
+
+
 def _grid_neighbors(hgrid, pos: np.ndarray, m: int, r2: float):
     """The grid query pass for threads 0..m-1: per agent, the nearest-7
     ``(d2, index)`` selection over its 3x3x3 cell neighborhood.
 
     Returns ``(order, found)`` shaped (m, MAX_NEIGHBORS) — the same
     canonical nearest-first layout ``_neighbor_candidates`` produces.
-    The cell directory is rebuilt as a dict from the flat map's probe
-    table (semantically the probe sequence, minus the re-hashing).
+    Array code over slices of agents: each slice expands its agents'
+    CSR segments into one flat candidate list, filters it by radius and
+    self, and ranks every owner's survivors with one sort.  The kept
+    set is the seven smallest ``(d2, index)`` pairs, so neither the
+    slicing nor the candidate order can change it.
     """
-    keys_raw = hgrid.cells.keys._raw()
-    vals_raw = hgrid.cells.vals._raw()
-    occupied = keys_raw != EMPTY_KEY
-    directory = {
-        int(k): int(v) for k, v in zip(keys_raw[occupied], vals_raw[occupied])
-    }
     members = hgrid.members._raw()
-    starts = hgrid.starts._raw()
-    edge = float(hgrid.cell_edge)
+    cols = pos.T.copy()  # contiguous x, y, z: cheap gathers
+    seg_start, seg_len = _cell_segments(hgrid, pos[:m])
+    # Cut a new slice wherever the running candidate count passes
+    # another multiple of the budget.
+    budget_mark = np.cumsum(seg_len.sum(axis=1)) // GRID_SLICE_CANDIDATES
+    cuts = np.flatnonzero(np.diff(budget_mark)) + 1
+    bounds = np.concatenate(([0], cuts, [m]))
 
     order = np.zeros((m, MAX_NEIGHBORS), dtype=np.int64)
     found = np.zeros((m, MAX_NEIGHBORS), dtype=bool)
-    for i in range(m):
-        cx = axis_cell(pos[i, 0], edge)
-        cy = axis_cell(pos[i, 1], edge)
-        cz = axis_cell(pos[i, 2], edge)
-        segments = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    x, y, z = cx + dx, cy + dy, cz + dz
-                    if not (
-                        0 <= x <= _AXIS_MAX
-                        and 0 <= y <= _AXIS_MAX
-                        and 0 <= z <= _AXIS_MAX
-                    ):
-                        continue
-                    seg = directory.get(pack_cell_key(x, y, z))
-                    if seg is None:
-                        continue
-                    segments.append(
-                        members[starts[seg] : starts[seg + 1]]
-                    )
-        if segments:
-            j = np.concatenate(segments).astype(np.int64)
-        else:
-            j = np.empty(0, dtype=np.int64)
-        off = pos[i][None, :] - pos[j]
-        d2 = (off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) + off[:, 2] * off[:, 2]
-        keep = (d2 < r2) & (j != i)
-        j = j[keep]
-        d2 = d2[keep]
-        # The smallest seven (d2, index) pairs — lexsort's primary key is
-        # its *last* array.
-        sel = np.lexsort((j, d2))[:MAX_NEIGHBORS]
-        k = sel.shape[0]
-        order[i, :k] = j[sel]
-        found[i, :k] = True
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lens = seg_len[a:b].reshape(-1)
+        nonempty = np.flatnonzero(lens)
+        lens = lens[nonempty]
+        owner = np.repeat(a + nonempty // _CELLS, lens)
+        # Candidate c of segment s reads members[start_s + c - base_s],
+        # base_s being the segment's offset in the flat list.
+        slot = np.repeat(
+            seg_start[a:b].reshape(-1)[nonempty] - (np.cumsum(lens) - lens), lens
+        )
+        slot += np.arange(slot.size)
+        j = members[slot]
+        # offset = my_pos - other_pos; d2 in dot3's order.
+        ox, oy, oz = (np.take(c, owner) - np.take(c, j) for c in cols)
+        d2 = (ox * ox + oy * oy) + oz * oz
+        keep = np.flatnonzero((d2 < r2) & (j != owner))
+        j, d2, owner = j[keep], d2[keep], owner[keep]
+        # Owner-major, then the (d2, index) order — lexsort's primary
+        # key is its *last* array.
+        ranked = np.lexsort((j, d2, owner))
+        j, owner = j[ranked], owner[ranked]
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        top = rank < MAX_NEIGHBORS
+        order[owner[top], rank[top]] = j[top]
+        found[owner[top], rank[top]] = True
     return order, found
-
-
-def _store_results(results, order: np.ndarray, found: np.ndarray, m: int) -> None:
-    out = np.where(found, order, NO_NEIGHBOR).astype(np.int32)
-    results.view._raw()[: m * MAX_NEIGHBORS] = out.reshape(-1)
 
 
 def _find_neighbors_hash(device, grid_dim, block_dim, args) -> None:

@@ -692,9 +692,9 @@ def run_backend_compare(
       *modelled* virtual seconds per step (the analytic perf model the
       simulator's clock is built from — running the emulator at this
       scale would measure Python, not the G80);
-    * **conformance** — every pipeline version (1-5) run on both
-      backends from the same seed at a population the emulator handles
-      quickly, reporting exactness / max abs difference.
+    * **conformance** — every device version (``DEVICE_VERSIONS``) run
+      on both backends from the same seed at a population the emulator
+      handles quickly, reporting exactness / max abs difference.
 
     Wall-clock numbers vary by machine, so the whole experiment is
     excluded from the perf-regression gate (like sec-7).
@@ -704,7 +704,7 @@ def run_backend_compare(
     from repro.backend.conformance import run_suite
     from repro.cupp.device import Device
     from repro.gpusteer.emulated import EmulatedBoids
-    from repro.gpusteer.versions import update_time
+    from repro.gpusteer.versions import DEVICE_VERSIONS, update_time
     from repro.steer.params import DEFAULT_PARAMS
 
     boids = EmulatedBoids(
@@ -775,7 +775,8 @@ def run_backend_compare(
         f"backend compare — v5 pipeline, {agents} agents, {steps} steps",
         ["backend", "ms/step", "agent-steps/s", "clock"],
         rows,
-        note=f"Conformance (v1-v5, {conformance_agents} agents, "
+        note=f"Conformance (v{DEVICE_VERSIONS[0]}-v{DEVICE_VERSIONS[-1]}, "
+        f"{conformance_agents} agents, "
         f"{conformance_steps} steps): "
         + ("bit-exact" if all_exact else f"max |diff| {max_diff:.2e}")
         + f" across backends; at {conformance_agents} agents the native "

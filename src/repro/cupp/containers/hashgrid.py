@@ -62,19 +62,26 @@ def axis_cell(x: float, cell_edge: float) -> int:
 
 
 def pack_cell_key(cx: int, cy: int, cz: int) -> int:
-    """Pack three biased axis cells into one 63-bit key."""
+    """Pack three biased axis cells (ints or int64 arrays) into one
+    63-bit key."""
     return (cx << (2 * CELL_KEY_BITS)) | (cy << CELL_KEY_BITS) | cz
+
+
+def cell_coords(positions: np.ndarray, cell_edge: float) -> np.ndarray:
+    """Biased axis cells of an (n, 3) position array, as (n, 3) int64 —
+    the array twin of :func:`axis_cell`.
+
+    The bias and clamp happen in float64, before the integer cast, so a
+    coordinate too large for int64 clamps the way ``axis_cell`` clamps
+    it instead of wrapping.
+    """
+    cells = np.floor(positions.astype(np.float64) / cell_edge) + _AXIS_BIAS
+    return np.clip(cells, 0, _AXIS_MAX).astype(np.int64)
 
 
 def _cell_keys(positions: np.ndarray, cell_edge: float) -> np.ndarray:
     """Vectorized packed keys for an (n, 3) position array."""
-    cells = np.floor(positions.astype(np.float64) / cell_edge).astype(np.int64)
-    cells = np.clip(cells + _AXIS_BIAS, 0, _AXIS_MAX).astype(np.uint64)
-    return (
-        (cells[:, 0] << np.uint64(2 * CELL_KEY_BITS))
-        | (cells[:, 1] << np.uint64(CELL_KEY_BITS))
-        | cells[:, 2]
-    )
+    return pack_cell_key(*cell_coords(positions, cell_edge).T).astype(np.uint64)
 
 
 class DeviceHashGrid:
@@ -185,6 +192,13 @@ class HashGrid:
         one ``grid-build`` upload, later consumptions are lazy hits.
         """
         positions = np.asarray(positions, dtype=np.float32).reshape(-1, 3)
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise CuppUsageError(
+                f"HashGrid.build: agent {bad} has a non-finite position "
+                f"{positions[bad].tolist()}; every agent needs a grid cell"
+            )
         keys = _cell_keys(positions, self.cell_edge)
         # Stable sort keeps same-cell agents in index order, so segment
         # scans enumerate candidates deterministically.

@@ -77,6 +77,19 @@ def neighbor_search_all_pure(
     ).reshape(len(positions), params.max_neighbors)
 
 
+def keep_nearest(d2: np.ndarray, keep: np.ndarray, k: int):
+    """The exact keep-``k`` selection over a dense ``(rows, cols)`` block:
+    per row, the ``k`` smallest ``(d2, column)`` pairs among ``keep``, as
+    ``(order, found)`` — column indexes nearest-first and whether each is
+    a kept candidate.  The stable sort breaks ties by column (argpartition's
+    k-cut would be arbitrary); ``d2`` keeps the caller's float association.
+    """
+    ranked = np.where(keep, d2, np.inf)
+    order = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+    found = np.take_along_axis(ranked, order, axis=1) < np.inf
+    return order, found
+
+
 def neighbor_search_all_numpy(
     positions: np.ndarray,
     params: BoidsParams,
@@ -95,22 +108,15 @@ def neighbor_search_all_numpy(
     query = np.arange(n) if rows is None else np.asarray(rows)
     out = np.full((n, k), NO_NEIGHBOR, dtype=np.int64)
     kk = min(k, n - 1)
-    if kk == 0:
-        return out  # a lone agent has no possible neighbors
     for start in range(0, len(query), block):
         sel = query[start : start + block]
         chunk = positions[sel]
         # (block, n) squared distances.
         d2 = ((chunk[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(len(sel)), sel] = np.inf  # exclude self
-        d2[d2 >= r2] = np.inf
-        # Stable sort on d2 breaks ties by ascending column index, i.e.
-        # the exact (d2, index) selection.  (argpartition's k-cut is
-        # arbitrary under tied distances, so it cannot be used here.)
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-        part = np.take_along_axis(d2, idx, axis=1)
-        idx[~np.isfinite(part)] = NO_NEIGHBOR
-        out[sel, :kk] = idx
+        keep = d2 < r2
+        keep[np.arange(len(sel)), sel] = False  # exclude self
+        idx, found = keep_nearest(d2, keep, kk)
+        out[sel, :kk] = np.where(found, idx, NO_NEIGHBOR)
     return out
 
 

@@ -226,6 +226,28 @@ class TestHashGridInvariants:
             )
             assert int(key) == expected
 
+    def test_keys_past_int64_clamp_like_scalar_twin(self):
+        # |p / edge| beyond int64: the build clamps these agents into the
+        # edge cells the query side (axis_cell) puts them in.
+        edge = 9.0
+        positions = np.array(
+            [[3e38, -3e38, 1e30], [-1e25, 1e25, 0.0]], dtype=np.float32
+        )
+        keys = _cell_keys(positions, edge)
+        for row, key in zip(positions, keys):
+            assert int(key) == pack_cell_key(
+                *(axis_cell(x, edge) for x in row)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_are_refused(self, bad):
+        positions = np.zeros((6, 3), np.float32)
+        positions[3, 1] = bad
+        positions[5, 0] = bad
+        grid = HashGrid(cell_edge=1.0)
+        with pytest.raises(CuppUsageError, match="agent 3 "):
+            grid.build(positions)
+
     def test_members_of_missing_cell_is_empty(self):
         grid = HashGrid(cell_edge=1.0)
         grid.build(np.zeros((4, 3), np.float32))
