@@ -16,6 +16,10 @@ def test_fig_6_4_double_buffering(benchmark):
     for n, g in {**no_tf, **tf}.items():
         assert 3.0 <= g <= 40.0, f"n={n}: gain {g:.1f}% out of band"
 
+    # The paper's band itself at three operating points it reports.
+    for series, n in [(no_tf, 16384), (no_tf, 32768), (tf, 32768)]:
+        assert 12.0 <= series[n] <= 32.0, f"n={n}: gain {series[n]:.2f}%"
+
     # Peaks where host and device finish together (§6.3.2).
     assert max(no_tf, key=no_tf.get) == 8192
     assert max(tf, key=tf.get) == 32768

@@ -111,6 +111,29 @@ def sizeof_argument(value: object) -> int:
     return struct.calcsize("P")
 
 
+#: Per copy direction, which of ``(dst, src)`` must be device memory.
+_MEMCPY_DIRECTIONS = {
+    cudaMemcpyKind.cudaMemcpyHostToHost: (False, False),
+    cudaMemcpyKind.cudaMemcpyHostToDevice: (True, False),
+    cudaMemcpyKind.cudaMemcpyDeviceToHost: (False, True),
+    cudaMemcpyKind.cudaMemcpyDeviceToDevice: (True, True),
+}
+
+
+def _memcpy_args_error(
+    dst: object, src: object, count: int, kind: cudaMemcpyKind
+) -> "cudaError | None":
+    """Validate a copy's direction and host-buffer lengths up front, so a
+    rejected copy charges no time and touches no counter or ledger."""
+    on_device = (isinstance(dst, DevicePtr), isinstance(src, DevicePtr))
+    if _MEMCPY_DIRECTIONS.get(kind) != on_device:
+        return cudaError.cudaErrorInvalidMemcpyDirection
+    for buf in (dst, src):
+        if not isinstance(buf, DevicePtr) and np.asarray(buf).nbytes < count:
+            return cudaError.cudaErrorInvalidValue
+    return None
+
+
 from repro.cuda.interop import GlInteropMixin
 
 
@@ -227,21 +250,14 @@ class CudaRuntime(GlInteropMixin):
         kind: cudaMemcpyKind,
     ) -> cudaError:
         """Blocking copy; implicit host/device synchronization (§2.2)."""
+        error = _memcpy_args_error(dst, src, count, kind)
+        if error is not None:
+            return error
         mem = self.device.memory
-        dst_dev = isinstance(dst, DevicePtr)
-        src_dev = isinstance(src, DevicePtr)
-        expected = {
-            cudaMemcpyKind.cudaMemcpyHostToHost: (False, False),
-            cudaMemcpyKind.cudaMemcpyHostToDevice: (True, False),
-            cudaMemcpyKind.cudaMemcpyDeviceToHost: (False, True),
-            cudaMemcpyKind.cudaMemcpyDeviceToDevice: (True, True),
-        }
-        if expected.get(kind) != (dst_dev, src_dev):
-            return cudaError.cudaErrorInvalidMemcpyDirection
         injector = self.device.fault_injector
         if (
             injector is not None
-            and (dst_dev or src_dev)
+            and kind is not cudaMemcpyKind.cudaMemcpyHostToHost
             and injector.draw(
                 "transfer", device_index=self._bind_default(), nbytes=count
             )
@@ -275,8 +291,6 @@ class CudaRuntime(GlInteropMixin):
             self.device.timeline.memcpy(count)
             if kind is cudaMemcpyKind.cudaMemcpyHostToDevice:
                 raw = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
-                if raw.size < count:
-                    return cudaError.cudaErrorInvalidValue
                 mem.copy_in(dst, raw[:count])
             else:
                 out = mem.copy_out(src, count)
@@ -404,16 +418,9 @@ class CudaRuntime(GlInteropMixin):
         models them as device-internal, not DMA-engine, work)."""
         if not self._stream_ok(stream):
             return cudaError.cudaErrorInvalidResourceHandle
-        dst_dev = isinstance(dst, DevicePtr)
-        src_dev = isinstance(src, DevicePtr)
-        expected = {
-            cudaMemcpyKind.cudaMemcpyHostToHost: (False, False),
-            cudaMemcpyKind.cudaMemcpyHostToDevice: (True, False),
-            cudaMemcpyKind.cudaMemcpyDeviceToHost: (False, True),
-            cudaMemcpyKind.cudaMemcpyDeviceToDevice: (True, True),
-        }
-        if expected.get(kind) != (dst_dev, src_dev):
-            return cudaError.cudaErrorInvalidMemcpyDirection
+        error = _memcpy_args_error(dst, src, count, kind)
+        if error is not None:
+            return error
         if kind in (
             cudaMemcpyKind.cudaMemcpyHostToHost,
             cudaMemcpyKind.cudaMemcpyDeviceToDevice,
@@ -456,8 +463,6 @@ class CudaRuntime(GlInteropMixin):
             # deferred onto the copy-engine track.
             if kind is cudaMemcpyKind.cudaMemcpyHostToDevice:
                 raw = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
-                if raw.size < count:
-                    return cudaError.cudaErrorInvalidValue
                 mem.copy_in(dst, raw[:count])
             else:
                 out = mem.copy_out(src, count)

@@ -47,6 +47,19 @@ def shard(vector: Vector) -> Sharded:
     return Sharded(vector)
 
 
+def split_bounds(total: int, parts: int) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) split of ``total`` elements into ``parts``
+    near-even chunks; the remainder goes to the leading chunks."""
+    base, rem = divmod(total, parts)
+    bounds = []
+    start = 0
+    for i in range(parts):
+        stop = start + base + (1 if i < rem else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
 class DeviceGroup:
     """Several device handles owned by one host thread."""
 
@@ -79,15 +92,7 @@ class DeviceGroup:
     # ------------------------------------------------------------------
     def chunk_bounds(self, total: int) -> list[tuple[int, int]]:
         """Contiguous [start, stop) split of ``total`` elements."""
-        k = len(self.devices)
-        base, rem = divmod(total, k)
-        bounds = []
-        start = 0
-        for i in range(k):
-            stop = start + base + (1 if i < rem else 0)
-            bounds.append((start, stop))
-            start = stop
-        return bounds
+        return split_bounds(total, len(self.devices))
 
     @property
     def makespan_s(self) -> float:

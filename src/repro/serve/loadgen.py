@@ -449,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="CUDA streams per device: 2 pipelines uploads/kernels/"
-        "fetches (depth 2); 1 restores the legacy serial scheduler "
-        "byte-for-byte",
+        "fetches (depth 2); 1 serializes everything on the null "
+        "stream (depth 1)",
     )
     p.add_argument(
         "--backend",

@@ -7,7 +7,7 @@ each formed batch onto the group as one or more *sub-batches*:
   would re-pay their state upload — the lazy-copy reuse the session
   store exists for);
 * cold sessions are spread over the group with the same contiguous
-  :meth:`~repro.cupp.multidevice.DeviceGroup.chunk_bounds` split that
+  :func:`~repro.cupp.multidevice.split_bounds` split that
   ``MultiKernel`` shards vectors with, least-busy device first.
 
 Execution is played out on each device's own
@@ -27,27 +27,27 @@ Transfers are attributed in the ledger as the batching data path:
 the fused result fetch (each then sliced per request by
 ``Vector.split_at``).
 
-With ``streams >= 2`` (the default via :class:`ServeConfig`) each device
-gets a *copy* stream and a *compute* stream on its timeline, and the
-scheduler stops serializing on ``device_busy_until``: the cold-state
-upload rides the copy engine (``cudaMemcpyAsync`` semantics) with the
-kernels gated on it by an event (``stream-wait`` in the ledger), the
-kernels queue on the compute stream, and the result fetch is a deferred
-async d2h on the copy stream.  Each device then pipelines up to two
-sub-batches (depth 2): the next batch's upload and kernel queueing
-overlap the previous batch's tail instead of waiting for the device to
-go idle.  ``streams=1`` keeps the legacy null-stream path byte-for-byte.
+There is one serving path; ``streams`` only picks the timeline calls.
+``streams=1`` is depth 1 over the null stream.  With ``streams >= 2``
+(the default via :class:`ServeConfig`) each device gets a *copy* and a
+*compute* stream: the cold-state upload rides the copy engine with the
+kernels gated on it by an event (``stream-wait`` in the ledger), and
+the result fetch is a deferred async d2h on the copy stream, so each
+device pipelines two sub-batches deep.  Either way, completion times
+and the flight tracks are read from the
+:class:`~repro.simgpu.transfer.StreamOp` each timeline call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro import obs
 from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cuda.runtime import CudaMachine
 from repro.cupp.exceptions import CuppMemoryError, CuppUsageError
-from repro.cupp.multidevice import DeviceGroup
+from repro.cupp.multidevice import DeviceGroup, split_bounds
 from repro.cupp.vector import Vector
 from repro.fault import InjectedFault
 from repro.prof import hook as prof_hook
@@ -56,6 +56,7 @@ from repro.serve.engine import StepEngine
 from repro.serve.request import StepRequest
 from repro.serve.sessions import Session
 from repro.simgpu.arch import scaled_arch
+from repro.simgpu.transfer import StreamOp
 
 
 def make_group(
@@ -99,8 +100,8 @@ class SubBatch:
     sessions: "list[Session]" = field(default_factory=list)
     #: Virtual time the sub-batch's kernels finish on its device.
     completion_s: float = 0.0
-    #: Completion excluding any injected hang (streams mode): what the
-    #: schedule *predicts*, including queueing behind the device's other
+    #: Completion excluding any injected hang: what the schedule
+    #: *predicts*, including queueing behind the device's other
     #: in-flight sub-batch.  The watchdog deadline builds on this.
     expected_completion_s: float = 0.0
     #: Device buffer holding the fused draw-matrix results between
@@ -144,22 +145,18 @@ class DeviceScheduler:
         self.timelines = [d.sim.timeline for d in group.devices]
         for tl in self.timelines:
             tl.launch_overhead_s = calib.launch_overhead_s
-        #: Streams per device: 1 = legacy null-stream scheduling (every
-        #: op serializes on ``device_busy_until``); >= 2 = overlapped
+        #: Streams per device: 1 = the null stream (every op serializes
+        #: on ``device_busy_until``), pipeline depth 1; >= 2 = overlapped
         #: copy/compute streams with pipeline depth 2 per device.
         self.streams = streams
         self.pipeline_depth = 1 if streams == 1 else 2
-        #: Sub-batches currently in flight per device (streams mode lets
-        #: this reach :attr:`pipeline_depth`; legacy mode caps it at 1).
+        #: Sub-batches currently in flight per device, at most
+        #: :attr:`pipeline_depth`.
         self.inflight_count = [0] * len(group)
+        self._copy_streams = self._compute_streams = None
         if streams > 1:
             self._copy_streams = [tl.create_stream() for tl in self.timelines]
-            self._compute_streams = [
-                tl.create_stream() for tl in self.timelines
-            ]
-        else:
-            self._copy_streams = None
-            self._compute_streams = None
+            self._compute_streams = [tl.create_stream() for tl in self.timelines]
         #: Execution-backend kind per device (``"sim"``/``"native"``).
         self.backend_kinds = [d.backend_kind for d in group.devices]
         #: Heterogeneous groups get cost-aware placement; homogeneous
@@ -172,8 +169,6 @@ class DeviceScheduler:
         #: Requests placed per device, by the cost-aware (or even) split;
         #: lets callers verify work actually routed to each backend kind.
         self.placed_requests = [0] * len(group)
-        #: Device indices with a sub-batch currently in flight.
-        self.busy: "set[int]" = set()
         #: Device indices evicted by the health machinery; excluded
         #: from placement until a probe readmits them.
         self.unhealthy: "set[int]" = set()
@@ -188,20 +183,9 @@ class DeviceScheduler:
 
     # ------------------------------------------------------------------
     def free_devices(self) -> "list[int]":
-        """Healthy indices with pipeline room, least busy first.
-
-        Legacy mode (``streams == 1``): devices with no in-flight
-        sub-batch.  Streams mode: devices below :attr:`pipeline_depth`,
-        emptiest first so new work prefers idle silicon over queueing.
-        """
-        if self.streams == 1:
-            free = [
-                i
-                for i in range(len(self.group))
-                if i not in self.busy and i not in self.unhealthy
-            ]
-            free.sort(key=lambda i: self.timelines[i].device_busy_until)
-            return free
+        """Healthy indices below :attr:`pipeline_depth`, least busy first:
+        emptiest pipeline, then earliest idle, so new work prefers idle
+        silicon over queueing."""
         free = [
             i
             for i in range(len(self.group))
@@ -221,7 +205,6 @@ class DeviceScheduler:
     # ------------------------------------------------------------------
     def evict(self, device_index: int, reason: str) -> None:
         """Remove a device from placement until a probe readmits it."""
-        self.busy.discard(device_index)
         self.inflight_count[device_index] = 0
         self.unhealthy.add(device_index)
         obs.counter("fault.evictions").inc()
@@ -303,13 +286,13 @@ class DeviceScheduler:
     ) -> "list[tuple[int, int]]":
         """Contiguous split of ``total`` cold requests over ``free``.
 
-        Homogeneous groups keep the near-even ``chunk_bounds`` split —
+        Homogeneous groups keep the near-even ``split_bounds`` split —
         the exact historical behaviour.  Heterogeneous groups weight
         each device by predicted speed (1 / cost scale), rounding by
         largest remainder so every request lands somewhere.
         """
         if not self.heterogeneous or engine is None:
-            return DeviceGroup.chunk_bounds(_BoundsProxy(len(free)), total)
+            return split_bounds(total, len(free))
         weights = [1.0 / self._cost_scale(i) for i in free]
         wsum = sum(weights)
         raw = [total * w / wsum for w in weights]
@@ -440,12 +423,12 @@ class DeviceScheduler:
                     # host stalling for the whole device to drain.
                     copy = self._copy_streams[sub.device_index]
                     op = tl.stream_memcpy(copy, nbytes)
-                    obs.record_transfer(
-                        "batch-concat",
-                        "h2d",
-                        nbytes,
-                        label="serve.session-upload",
-                    )
+                else:
+                    op = tl.memcpy(nbytes)
+                obs.record_transfer(
+                    "batch-concat", "h2d", nbytes, label="serve.session-upload"
+                )
+                if self.streams > 1:
                     uploaded = tl.create_event()
                     tl.record_event(uploaded, copy)
                     tl.stream_wait_event(
@@ -459,27 +442,7 @@ class DeviceScheduler:
                         moved=False,
                         label="serve.kernels<-upload",
                     )
-                    if self.flight is not None:
-                        self.flight.device_event(
-                            sub.device_index, "transfer",
-                            op.start_s, op.end_s,
-                            label="h2d", stream=op.stream_id,
-                        )
-                else:
-                    tl.memcpy(nbytes)
-                    obs.record_transfer(
-                        "batch-concat", "h2d", nbytes,
-                        label="serve.session-upload",
-                    )
-                    if self.flight is not None:
-                        # Only the bus-active portion of the memcpy (the
-                        # implicit synchronize wait is device-busy time,
-                        # already painted by the kernel track).
-                        self.flight.device_event(
-                            sub.device_index, "transfer",
-                            tl.host_time - tl.pcie.transfer_time(nbytes),
-                            tl.host_time, label="h2d",
-                        )
+                self._paint(sub.device_index, "transfer", op, "h2d")
                 device.free(staging)
                 for session in cold:
                     session.resident_on = sub.device_index
@@ -523,50 +486,25 @@ class DeviceScheduler:
                     )
         if self.streams > 1:
             compute = self._compute_streams[sub.device_index]
-            for _ in range(engine.launches_per_batch - 1):
-                tl.stream_launch(compute, 0.0)  # launch cost only
-            op = tl.stream_launch(compute, kernel_s + hang_s)
-            obs.counter("repro.serve.launches").inc(engine.launches_per_batch)
-            self.busy.add(sub.device_index)
-            self.inflight_count[sub.device_index] += 1
-            sub.completion_s = op.end_s
-            sub.expected_completion_s = op.end_s - hang_s
-            if self.flight is not None:
-                self.flight.device_event(
-                    sub.device_index, "busy", op.start_s,
-                    op.start_s + kernel_s,
-                    label="step-kernels", stream=op.stream_id,
-                )
-                if hang_s > 0.0:
-                    self.flight.device_event(
-                        sub.device_index, "wedged", op.start_s + kernel_s,
-                        op.end_s, label="injected-hang", stream=op.stream_id,
-                    )
-            return sub.completion_s
-
+            enqueue = partial(tl.stream_launch, compute)
+        else:
+            enqueue = tl.launch_kernel
         for _ in range(engine.launches_per_batch - 1):
-            tl.launch_kernel(0.0)  # kernel boundary: launch cost only
-        tl.launch_kernel(kernel_s + hang_s)
+            enqueue(0.0)  # kernel boundary: launch cost only
+        op = enqueue(kernel_s + hang_s)
         obs.counter("repro.serve.launches").inc(engine.launches_per_batch)
-
-        self.busy.add(sub.device_index)
-        self.inflight_count[sub.device_index] = 1
-        sub.completion_s = tl.device_busy_until
-        sub.expected_completion_s = sub.completion_s - hang_s
-        if self.flight is not None:
-            # The kernel occupies [start, start+kernel_s]; an injected
-            # hang extends the device occupancy but is *wedged* time,
-            # painted separately so the gantt shows the stall.
-            start = sub.completion_s - kernel_s - hang_s
-            self.flight.device_event(
-                sub.device_index, "busy", start, start + kernel_s,
-                label="step-kernels",
+        self.inflight_count[sub.device_index] += 1
+        sub.completion_s = op.end_s
+        sub.expected_completion_s = op.end_s - hang_s
+        # The kernel occupies [start, start+kernel_s]; an injected hang
+        # extends the device occupancy but is *wedged* time, painted
+        # separately so the gantt shows the stall.
+        split = op.start_s + kernel_s
+        self._paint(sub.device_index, "busy", op, "step-kernels", end_s=split)
+        if hang_s > 0.0:
+            self._paint(
+                sub.device_index, "wedged", op, "injected-hang", start_s=split
             )
-            if hang_s > 0.0:
-                self.flight.device_event(
-                    sub.device_index, "wedged", start + kernel_s,
-                    sub.completion_s, label="injected-hang",
-                )
         return sub.completion_s
 
     def finish(self, sub: SubBatch, engine: StepEngine, now: float) -> float:
@@ -587,60 +525,42 @@ class DeviceScheduler:
             copy = self._copy_streams[sub.device_index]
             op = tl.stream_memcpy(copy, nbytes)
             tl.stream_synchronize(copy)
-            obs.record_transfer(
-                "batch-split", "d2h", nbytes, label="serve.draw-matrices"
-            )
-            if self.flight is not None:
-                self.flight.device_event(
-                    sub.device_index, "transfer", op.start_s, op.end_s,
-                    label="d2h", stream=op.stream_id,
-                )
         else:
-            tl.memcpy(nbytes)
-            obs.record_transfer(
-                "batch-split", "d2h", nbytes, label="serve.draw-matrices"
-            )
-            if self.flight is not None:
-                self.flight.device_event(
-                    sub.device_index, "transfer",
-                    tl.host_time - tl.pcie.transfer_time(nbytes),
-                    tl.host_time, label="d2h",
-                )
+            op = tl.memcpy(nbytes)
+        obs.record_transfer(
+            "batch-split", "d2h", nbytes, label="serve.draw-matrices"
+        )
+        self._paint(sub.device_index, "transfer", op, "d2h")
         # Fault consult: one draw per result fetch.  A corrupt fetch
         # still paid for the bytes (charged above), but the payload is
         # garbage — discard it, release the device, and let the service
         # roll the sessions back and retry the requests.
-        if self.injector is not None:
-            fault = self.injector.draw(
+        sub.corrupt = (
+            self.injector is not None
+            and self.injector.draw(
                 "transfer", device_index=sub.device_index, nbytes=nbytes
             )
-            if fault == "transfer-corrupt":
-                if sub.result_ptr is not None:
-                    self.group.devices[sub.device_index].free(sub.result_ptr)
-                    sub.result_ptr = None
-                self._release_device(sub.device_index)
-                sub.corrupt = True
-                return tl.host_time
+            == "transfer-corrupt"
+        )
         if sub.result_ptr is not None:
             self.group.devices[sub.device_index].free(sub.result_ptr)
             sub.result_ptr = None
-        tl.host_work(self.host_per_request_s * len(sub.requests))
-        self._release_device(sub.device_index)
+        if self.inflight_count[sub.device_index] > 0:
+            self.inflight_count[sub.device_index] -= 1
+        if not sub.corrupt:
+            tl.host_work(self.host_per_request_s * len(sub.requests))
         return tl.host_time
 
-    def _release_device(self, device_index: int) -> None:
-        """One sub-batch left ``device_index``; clear ``busy`` once the
-        pipeline is empty."""
-        if self.inflight_count[device_index] > 0:
-            self.inflight_count[device_index] -= 1
-        if self.inflight_count[device_index] == 0:
-            self.busy.discard(device_index)
-
-
-class _BoundsProxy:
-    """Duck-typed stand-in so ``DeviceGroup.chunk_bounds`` (which only
-    reads ``len(self.devices)``) can split over the *free* subset of a
-    group without constructing a second group."""
-
-    def __init__(self, count: int) -> None:
-        self.devices = [None] * count
+    def _paint(
+        self, device_index: int, kind: str, op: StreamOp, label: str,
+        start_s: "float | None" = None, end_s: "float | None" = None,
+    ) -> None:
+        """Record ``op``'s interval (or its ``[start_s, end_s]`` part) on
+        the device's flight utilization track."""
+        if self.flight is not None:
+            self.flight.device_event(
+                device_index, kind,
+                op.start_s if start_s is None else start_s,
+                op.end_s if end_s is None else end_s,
+                label=label, stream=op.stream_id,
+            )

@@ -110,8 +110,8 @@ class ServeConfig:
     devices: int = 2
     #: CUDA streams per device.  The default (2: one copy + one compute
     #: stream) pipelines staging uploads, kernels, and deferred result
-    #: fetches with depth 2 per device; ``streams=1`` restores the
-    #: legacy null-stream scheduler byte-for-byte (every launch/memcpy
+    #: fetches with depth 2 per device; ``streams=1`` runs the same
+    #: path at depth 1 on the null stream (every launch/memcpy
     #: serializes on ``device_busy_until``).
     streams: int = 2
     #: Execution backend per device: ``"sim"``, ``"native"``, ``"mixed"``
@@ -782,29 +782,13 @@ class SimulationService:
                         sub.device_index
                     ].host_time
                     if self.injector is not None:
-                        # Watchdog: predicted completion plus slack — a
-                        # hang overshoots this; nothing healthy does.
-                        if self.scheduler.streams > 1:
-                            # Streams mode: the schedule itself predicts
-                            # the finish (queueing behind the device's
-                            # other in-flight sub-batch included, any
-                            # injected hang excluded).
-                            sub.timeout_s = (
-                                sub.expected_completion_s
-                                + self.retry.batch_timeout_s
-                            )
-                        else:
-                            # Legacy: launch time plus predicted kernel
-                            # seconds (perf model on sim devices, EWMA
-                            # on native).
-                            predicted = self.scheduler.predict_kernel_s(
-                                sub.device_index, sub.sessions, self.engine
-                            )
-                            sub.timeout_s = (
-                                self.now
-                                + predicted
-                                + self.retry.batch_timeout_s
-                            )
+                        # Watchdog: the schedule's predicted finish
+                        # (injected hang excluded) plus slack — a hang
+                        # overshoots this; nothing healthy does.
+                        sub.timeout_s = (
+                            sub.expected_completion_s
+                            + self.retry.batch_timeout_s
+                        )
                     self.stats.launches += self.engine.launches_per_batch
                     self._in_flight.append(sub)
 

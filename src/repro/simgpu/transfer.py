@@ -36,7 +36,8 @@ A zero-byte ``cudaMemcpy`` is modeled as a **driver no-op that is still a
 synchronization point**: :meth:`PcieModel.transfer_time` returns ``0.0``
 for ``nbytes == 0`` (no per-call overhead — the driver never programs the
 DMA engine), and :meth:`DeviceTimeline.memcpy` degenerates to a plain
-:meth:`DeviceTimeline.synchronize` without touching ``device_busy_until``.
+:meth:`DeviceTimeline.synchronize` without touching ``device_busy_until``
+(its returned interval is empty).
 Both backends (sim and native) share this timeline, so they agree by
 construction; the conformance suite pins it.
 
@@ -46,11 +47,16 @@ serialize against *every* track, and stream work submitted later will not
 start before them.  A schedule that only ever touches one stream is
 arithmetically identical to the old serial timeline (the property suite
 asserts byte-identity).
+
+Every op that occupies the device, serial or stream, returns the
+:class:`StreamOp` interval it scheduled: the timeline is the one
+producer of device intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -104,19 +110,21 @@ class Event:
     destroyed: bool = False
 
 
-@dataclass(frozen=True)
-class StreamOp:
-    """The scheduled interval of one stream operation.
+class StreamOp(NamedTuple):
+    """The scheduled interval of one timeline operation.
 
-    Returned by :meth:`DeviceTimeline.stream_launch` /
-    :meth:`DeviceTimeline.stream_memcpy` so callers (flight recorder,
-    schedulers) can paint per-stream utilization tracks without the
-    timeline retaining history.
+    Returned by ``launch_kernel``/``memcpy`` (null stream:
+    ``stream_id=None``, ``track="null"``) and by
+    ``stream_launch``/``stream_memcpy``, so callers (flight recorder,
+    schedulers) paint device tracks from the timeline that scheduled
+    the work, and the timeline retains no history.  ``start_s``/``end_s``
+    are the exact values the clocks moved to.  Immutable and cheap to
+    build (a named tuple), since every device op builds one.
     """
 
     kind: str  # "kernel" | "copy"
-    stream_id: int
-    track: str  # "copy" or "compute<k>"
+    stream_id: "int | None"  # None = the null stream
+    track: str  # "null", "copy" or "compute<k>"
     start_s: float
     end_s: float
 
@@ -193,15 +201,18 @@ class DeviceTimeline:
         """The host computes for ``seconds`` (device may run in parallel)."""
         self.host_time += seconds
 
-    def launch_kernel(self, duration_s: float) -> None:
+    def launch_kernel(self, duration_s: float) -> StreamOp:
         """Asynchronously enqueue a kernel that runs for ``duration_s``.
 
         The host pays only the launch overhead; the device starts when it
         is free (null-stream launches never overlap anything, §2.2).
+        Returns the kernel's interval: it ends at the new
+        :attr:`device_busy_until`.
         """
         self.host_time += self.launch_overhead_s
         start = max(self.host_time, self.device_busy_until)
         self._serial_busy_until = start + duration_s
+        return StreamOp("kernel", None, "null", start, self._serial_busy_until)
 
     def synchronize(self) -> float:
         """Block the host until the device is idle; returns the wait."""
@@ -209,23 +220,24 @@ class DeviceTimeline:
         self.host_time += wait
         return wait
 
-    def memcpy(self, nbytes: int) -> float:
+    def memcpy(self, nbytes: int) -> StreamOp:
         """A blocking host<->device copy: implicit synchronization plus the
-        transfer itself.  Returns the total host time consumed.
+        transfer itself.
 
-        A zero-byte copy is a pure synchronization point: the driver
-        no-ops the DMA, so no per-call overhead is charged and the
-        device-busy clock is left alone.
+        Returns the bus-active interval: it starts at the host clock
+        after the implicit synchronize and ends at the host clock after
+        the copy.  A zero-byte copy is a pure synchronization point: the
+        driver no-ops the DMA, so no per-call overhead is charged, the
+        device-busy clock is left alone, and ``start_s == end_s``.
         """
-        wait = self.synchronize()
-        if nbytes == 0:
-            return wait
-        cost = self.pcie.transfer_time(nbytes)
-        self.host_time += cost
-        # The bus is busy during the copy; the device cannot start a new
-        # kernel before it completes.
-        self.device_busy_until = self.host_time
-        return wait + cost
+        self.synchronize()
+        start = self.host_time
+        if nbytes:
+            self.host_time += self.pcie.transfer_time(nbytes)
+            # The bus is busy during the copy; the device cannot start a
+            # new kernel before it completes.
+            self._serial_busy_until = self.host_time
+        return StreamOp("copy", None, "null", start, self.host_time)
 
     # -- streams & events ----------------------------------------------
     def create_stream(self) -> Stream:

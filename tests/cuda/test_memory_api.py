@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cuda import CudaMachine, CudaRuntime, cudaError, cudaMemcpyKind
+from repro.obs.tracer import InMemoryRecorder
 from repro.simgpu import scaled_arch
 from repro.simgpu.memory import DevicePtr
 
@@ -113,3 +115,38 @@ class TestMemcpy:
         before = rt.device.timeline.host_time
         rt.cudaMemcpy(ptr, data, 16, H2D)
         assert rt.device.timeline.host_time - before >= 0.05 - 1e-9
+
+
+
+class TestRejectedCopyHasNoSideEffects:
+    """A copy whose host buffer is shorter than ``count`` returns
+    ``cudaErrorInvalidValue`` before it charges time, bumps a counter,
+    writes a ledger row or records an instant."""
+
+    @pytest.mark.parametrize("call", ["cudaMemcpy", "cudaMemcpyAsync"])
+    @pytest.mark.parametrize("kind", [H2D, D2H, H2H])
+    def test_short_host_buffer(self, rt, call, kind):
+        _, ptr = rt.cudaMalloc(64)
+        _, stream = rt.cudaStreamCreate()
+        tl = rt.device.timeline
+        tl.launch_kernel(1e-3)  # in flight: a charged copy would wait
+        short = np.zeros(1, dtype=np.float32)  # 4 bytes < 64
+        host = np.zeros(16, dtype=np.float32)
+        dst, src = {H2D: (ptr, short), D2H: (short, ptr), H2H: (short, host)}[kind]
+        extra = (stream,) if call == "cudaMemcpyAsync" else ()
+        obs.reset()
+        recorder = obs.enable_tracing(InMemoryRecorder())
+
+        def state():
+            metrics, ledger = obs.get_metrics(), obs.get_ledger()
+            return (tl.host_time, tl.device_busy_until, rt.memcpy_count,
+                    metrics.snapshot(), ledger.snapshot(), len(recorder))
+
+        try:
+            before = state()
+            err = getattr(rt, call)(dst, src, 64, kind, *extra)
+            assert state() == before
+        finally:
+            obs.disable_tracing()
+        assert err is cudaError.cudaErrorInvalidValue
+        np.testing.assert_array_equal(short, 0.0)

@@ -189,6 +189,50 @@ class TestFaultsUnderPipelining:
             reference_positions(16, 2, 1),
         )
 
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_painted_intervals_are_the_timeline_ops(self, streams):
+        # The flight tracks are read from the ops the timeline returned,
+        # not re-derived: every transfer is a returned copy op, and every
+        # busy interval (plus its wedged tail, for the hung launch) is
+        # exactly a returned kernel op, in both stream modes.
+        service = service_with(
+            max_batch=1,
+            physics=False,
+            streams=streams,
+            faults=FaultConfig(script={"launch": ["hang"]}),
+        )
+        flight = FlightRecorder()
+        service.attach_flight(flight)
+        returned = set()  # (kind, start, end, stream) of every op
+        tl = service.scheduler.timelines[0]
+        for name in ("launch_kernel", "memcpy", "stream_launch", "stream_memcpy"):
+
+            def record(*args, _call=getattr(tl, name)):
+                op = _call(*args)
+                returned.add((op.kind, op.start_s, op.end_s, op.stream_id))
+                return op
+
+            setattr(tl, name, record)
+        service.create_session("a", n=16, seed=1)
+        service.create_session("b", n=16, seed=2)
+        service.submit("a")
+        service.advance(1e-6)  # batch A launches (and hangs)
+        service.submit("b")
+        service.drain()
+        assert service.stats.timeouts == 1
+
+        events = flight.device_events
+        wedged = {(e.start_s, e.stream): e.end_s for e in events if e.kind == "wedged"}
+        assert len(wedged) == 1
+        assert {e.kind for e in events} == {"busy", "wedged", "transfer"}
+        for e in events:
+            if e.kind == "transfer":
+                assert ("copy", e.start_s, e.end_s, e.stream) in returned
+            elif e.kind == "busy":
+                end = wedged.pop((e.end_s, e.stream), e.end_s)
+                assert ("kernel", e.start_s, end, e.stream) in returned
+        assert not wedged, "a wedged interval follows no busy interval"
+
     def test_eviction_resets_pipeline_occupancy(self):
         service = service_with(
             max_batch=1,
@@ -199,4 +243,4 @@ class TestFaultsUnderPipelining:
         service.advance(1e-6)
         service.drain()
         assert service.scheduler.inflight_count[0] == 0
-        assert not service.scheduler.busy
+        assert not any(service.scheduler.inflight_count)

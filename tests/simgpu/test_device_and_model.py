@@ -180,7 +180,9 @@ class TestTimeline:
         # §2.2: device memory access blocks the host while a kernel runs.
         tl = DeviceTimeline(PcieModel())
         tl.launch_kernel(0.010)
-        spent = tl.memcpy(1_000_000)
+        before = tl.host_time
+        tl.memcpy(1_000_000)
+        spent = tl.host_time - before
         assert tl.host_time >= 0.010
         assert spent >= 0.010 - tl.launch_overhead_s
 

@@ -25,6 +25,7 @@ interleaving of serial ops, stream ops, events, and syncs:
   rounding apart).
 """
 
+import copy
 import math
 
 import hypothesis.strategies as st
@@ -65,6 +66,9 @@ class LegacySerialTimeline:
 
     def memcpy(self, nbytes: int) -> float:
         wait = self.synchronize()
+        #: Host clock after the implicit synchronize (where the bus
+        #: becomes active).
+        self.synced_at = self.host_time
         if nbytes == 0:
             return wait
         cost = self.pcie.transfer_time(nbytes)
@@ -100,11 +104,49 @@ def test_serial_api_is_byte_identical_to_legacy_timeline(ops):
             new.launch_kernel(arg)
             old.launch_kernel(arg)
         elif kind == "memcpy":
-            assert new.memcpy(arg) == old.memcpy(arg)
+            # The returned op is the bus-active interval: it starts at
+            # the reference host clock after the implicit synchronize
+            # and ends at the reference host clock after the copy.
+            op = new.memcpy(arg)
+            old.memcpy(arg)
+            assert op.start_s == old.synced_at
+            assert op.end_s == old.host_time
         else:
             assert new.synchronize() == old.synchronize()
         assert new.host_time == old.host_time
         assert new.device_busy_until == old.device_busy_until
+
+
+@given(st.lists(SERIAL_OP, max_size=40))
+def test_serial_ops_return_the_interval_the_clocks_moved_to(ops):
+    """The timeline is the one source of device intervals: each serial
+    op's returned interval is exactly where the clocks went, and
+    consecutive serial ops never overlap (to the ulp)."""
+    tl = DeviceTimeline(PcieModel())
+    prev_end = 0.0
+    for kind, arg in ops:
+        if kind == "host":
+            tl.host_work(arg)
+            continue
+        if kind == "sync":
+            tl.synchronize()
+            continue
+        if kind == "kernel":
+            op = tl.launch_kernel(arg)
+            assert op.end_s == tl.device_busy_until
+        else:
+            # The host clock after the implicit synchronize, observed on
+            # a clone so the program itself is not perturbed.
+            probe = copy.deepcopy(tl)
+            probe.synchronize()
+            op = tl.memcpy(arg)
+            assert (op.start_s, op.end_s) == (probe.host_time, tl.host_time)
+            assert arg > 0 or op.start_s == op.end_s
+        assert op.stream_id is None and op.start_s <= op.end_s
+        # The null-stream synchronize's ``host += wait`` can land one ulp
+        # short of the device clock (the idempotence property's slack).
+        assert op.start_s >= prev_end - math.ulp(prev_end)
+        prev_end = op.end_s
 
 
 @given(
