@@ -24,12 +24,12 @@ Recording and exporting are deliberately split: recorders decide *what
 is kept* (nothing, an in-memory list), exporters decide *how it is
 rendered* (Chrome trace, JSON snapshot) — see ``DESIGN.md``.
 
-On top of the producing half sit two consumers (imported on demand, not
-re-exported here): :mod:`repro.obs.analyze` digests recorded or
-re-loaded traces into per-span statistics, critical paths, and
-run-to-run diffs, and :mod:`repro.obs.monitor` evaluates declarative
-SLO rules over sliding :class:`~repro.obs.metrics.Window`\\ s while the
-workload runs.
+On top of the producing half sit two consumers (not re-exported here):
+:mod:`repro.obs.analyze` digests recorded or re-loaded traces into
+per-span statistics, critical paths, and run-to-run diffs, and
+:mod:`repro.obs.monitor` evaluates declarative SLO rules over sliding
+:class:`~repro.obs.metrics.Window`\\ s while the workload runs; it also
+names the canonical request series the registry helpers below use.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.obs.ledger import (
     TransferRecord,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Window
+from repro.obs.monitor import LATENCY_SERIES, OUTCOME_SERIES, QUEUE_DEPTH_SERIES
 from repro.obs.session import Capture, capture
 from repro.obs.tracer import (
     NULL_SPAN,
@@ -201,7 +202,7 @@ def queue_depth_gauge(component: str, **labels: object) -> Gauge:
     gauge family, distinguished by a ``component`` label, so dashboards
     and tests can find every queue the same way.
     """
-    return _METRICS.gauge("repro.queue.depth", component=component, **labels)
+    return _METRICS.gauge(QUEUE_DEPTH_SERIES, component=component, **labels)
 
 
 def batch_size_histogram(component: str, **labels: object) -> Histogram:
@@ -223,9 +224,7 @@ def request_latency_histogram(component: str, **labels: object) -> Histogram:
     by ``component`` — one series family the SLO monitor and dashboards
     find uniformly, instead of reading per-component stats objects.
     """
-    return _METRICS.histogram(
-        "repro.request.latency", component=component, **labels
-    )
+    return _METRICS.histogram(LATENCY_SERIES, component=component, **labels)
 
 
 def request_outcome_counter(
@@ -239,7 +238,7 @@ def request_outcome_counter(
     of two uniformly named counters.
     """
     return _METRICS.counter(
-        "repro.request.outcome", component=component, outcome=outcome, **labels
+        OUTCOME_SERIES, component=component, outcome=outcome, **labels
     )
 
 

@@ -13,8 +13,9 @@ primitive — a propagated per-request **trace context** on the service's
 * :class:`TraceContext` is minted per request at
   :meth:`~repro.serve.service.SimulationService.submit` and rides on the
   request object through admission, batching, scheduling, and every
-  retry/failover hop.  Each pipeline stage opens a :class:`FlightSpan`
-  against it (``admit`` → ``queue`` → ``attempt-N``).
+  retry/failover hop.  The recorder hears the service's lifecycle and
+  opens a :class:`FlightSpan` per stage (``admit`` → ``queue`` →
+  ``attempt-N``).
 * **Span links** stitch causality across trace boundaries: one
   ``fused-launch`` span (per sub-batch, its own trace) links to every
   coalesced request's attempt span (``coalesced``), each attempt links
@@ -51,6 +52,8 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.lifecycle import ServeObserver
+
 #: Link kinds the serving layer emits (other producers may add more).
 LINK_KINDS = (
     "coalesced",      # fused-launch span -> each rider's attempt span
@@ -66,6 +69,10 @@ INTERESTING_FLAGS = ("fault", "failover", "failed", "deadline-miss", "slow")
 #: retention pressure these evict last, so an incident's fault traces
 #: outlive a flood of merely-slow ones.
 CRITICAL_FLAGS = ("fault", "failover", "failed")
+
+#: Faults after which the service rolled the session back and dropped its
+#: residency: the next attempt is ``failover-of``, not ``retry-of``.
+FAILOVER_REASONS = ("batch-timeout", "result-corrupt")
 
 #: Device-track event kinds, in paint priority (later wins in the gantt).
 DEVICE_TRACK_KINDS = ("busy", "transfer", "wedged")
@@ -130,17 +137,14 @@ class FlightSpan:
 class TraceContext:
     """The propagated per-request context: identity plus live wiring.
 
-    The service stores one on each :class:`~repro.serve.request
-    .StepRequest` and every pipeline stage reads/updates it — the
-    ``root``/``queue``/``attempt`` slots hold the currently open spans
-    so a stage can close what the previous one opened without a side
-    table, and ``prev_attempt`` carries the (span id, link kind) a
-    retried attempt must link back to.
+    The recorder stores one on each :class:`~repro.serve.request
+    .StepRequest` and, as it hears the request's lifecycle events,
+    keeps the ``root``/``queue``/``attempt`` slots pointing at the
+    latest span of each kind, so one event closes what an earlier one
+    opened without a side table.
     """
 
-    __slots__ = (
-        "trace_id", "seq", "flags", "root", "queue", "attempt", "prev_attempt",
-    )
+    __slots__ = ("trace_id", "seq", "flags", "root", "queue", "attempt")
 
     def __init__(self, trace_id: str, seq: int) -> None:
         self.trace_id = trace_id
@@ -150,7 +154,6 @@ class TraceContext:
         self.root: "FlightSpan | None" = None
         self.queue: "FlightSpan | None" = None
         self.attempt: "FlightSpan | None" = None
-        self.prev_attempt: "tuple[int, str] | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceContext({self.trace_id}, flags={sorted(self.flags)})"
@@ -203,7 +206,7 @@ class DeviceEvent:
         }
 
 
-class FlightRecorder:
+class FlightRecorder(ServeObserver):
     """Bounded-memory tail-sampling store for request flight traces.
 
     Parameters
@@ -354,6 +357,94 @@ class FlightRecorder:
         self.device_events.append(
             DeviceEvent(device, kind, start_s, end_s, label, stream)
         )
+
+    # ------------------------------------------------------------------
+    # the serving lifecycle: the only code that opens and closes spans
+    # ------------------------------------------------------------------
+    device_interval = device_event
+
+    def request_submitted(self, request, now: float) -> None:
+        ctx = request.ctx = self.mint()
+        ctx.root = self.start(
+            ctx, "request", now,
+            request=request.request_id, session=request.session_id,
+        )
+
+    def admission_outcome(self, request, outcome: str, now: float) -> None:
+        ctx = request.ctx
+        if ctx is None:
+            return
+        if outcome == "admitted":
+            if ctx.queue is not None and ctx.queue.end_s is None:
+                # A blocked (or shed-path) request finally got a slot:
+                # the open queue span absorbs the blocked wait.
+                ctx.queue.attrs["admitted_s"] = now
+            else:
+                self.end(self.start(ctx, "admit", now, parent=ctx.root), now)
+                ctx.queue = self.start(ctx, "queue", now, parent=ctx.root)
+        elif outcome == "blocked":
+            ctx.queue = self.start(ctx, "queue", now, parent=ctx.root, blocked=True)
+        else:  # rejected, shed or expired: the request is gone
+            if outcome == "expired":
+                ctx.flags.add("deadline-miss")
+            where = "submit" if request.admit_s is None else "dequeue"
+            self._seal(ctx, ctx.queue, now, outcome, where=where)
+
+    def sub_batch_launched(self, sub, batch_id: int, now: float) -> None:
+        fused = sub.flight_span = self.start_batch(
+            now, batch=batch_id, device=sub.device_index, size=len(sub.requests)
+        )
+        for request in sub.requests:
+            ctx = request.ctx
+            if ctx is None:
+                continue
+            if ctx.queue is not None and ctx.queue.end_s is None:
+                self.end(ctx.queue, now, outcome="launched")
+            prev = ctx.attempt
+            attempt = ctx.attempt = self.start(
+                ctx, f"attempt-{request.attempts + 1}", now,
+                parent=ctx.root, device=sub.device_index, batch=batch_id,
+            )
+            # A retry links back to the faulted attempt, whose outcome
+            # (the fault reason) says which kind of hop this is.
+            if prev is not None:
+                failover = prev.attrs.get("outcome") in FAILOVER_REASONS
+                kind = "failover-of" if failover else "retry-of"
+                self.link(attempt, ctx.trace_id, prev.span_id, kind)
+            # The cross-trace stitch: the fused launch knows every
+            # rider, every rider knows its fused launch.
+            self.link(attempt, fused.trace_id, fused.span_id, "fused-launch")
+            self.link(fused, ctx.trace_id, attempt.span_id, "coalesced")
+
+    def sub_batch_ended(self, sub, outcome: str, now: float) -> None:
+        if sub.flight_span is not None:
+            self.end(sub.flight_span, now, outcome=outcome)
+
+    def request_requeued(self, request, reason: str, failed: bool, now: float) -> None:
+        ctx = request.ctx
+        if ctx is None:
+            return
+        if ctx.attempt is not None and ctx.attempt.end_s is None:
+            self.end(ctx.attempt, now, outcome=reason)
+        ctx.flags.add("fault")
+        if reason in FAILOVER_REASONS:
+            ctx.flags.add("failover")
+        if failed:
+            ctx.flags.add("failed")
+            self._seal(ctx, None, now, "failed", reason=reason)
+
+    def request_completed(self, request, latency_us: int, now: float) -> None:
+        ctx = request.ctx
+        if ctx is not None:
+            self._seal(ctx, ctx.attempt, now, "done", latency_us=latency_us)
+
+    def _seal(self, ctx, stage, now: float, outcome: str, **root_attrs) -> None:
+        """End the open ``stage`` span and the root; decide retention."""
+        if stage is not None and stage.end_s is None:
+            self.end(stage, now, outcome=outcome)
+        if ctx.root is not None and ctx.root.end_s is None:
+            self.end(ctx.root, now, outcome=outcome, **root_attrs)
+        self.finish(ctx, now)
 
     # ------------------------------------------------------------------
     # the tail-sampling verdict

@@ -27,7 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.obs.lifecycle import ServeObserver
 from repro.obs.metrics import Window
+
+#: The canonical serving series the monitor feeds itself from the
+#: lifecycle: completed-request latency (µs), 0/1 per terminal request
+#: (1 = failed or dropped), queue depth, and one sample per fired fault.
+LATENCY_SERIES = "repro.request.latency"
+OUTCOME_SERIES = "repro.request.outcome"
+QUEUE_DEPTH_SERIES = "repro.queue.depth"
+FAULT_SERIES = "repro.fault.events"
 
 #: Windowed statistics a rule may evaluate.  ``ratio`` is the mean of
 #: 0/1-valued samples (e.g. deadline misses over terminal outcomes).
@@ -127,12 +136,12 @@ def _stat(window: Window, stat: str, now: float) -> float:
     return float(window.count(now))
 
 
-class SloMonitor:
+class SloMonitor(ServeObserver):
     """Evaluates :class:`SloRule` objectives over live observations.
 
     Drive it with :meth:`observe` (one call per sample, explicitly
-    timestamped) and :meth:`evaluate` (at natural decision points — the
-    serving event loop calls it after every event).  Subscribe with
+    timestamped) and :meth:`evaluate`, or attach it to a service, whose
+    lifecycle events it samples and evaluates on.  Subscribe with
     :meth:`on_fire`/:meth:`on_clear` to react; read :attr:`log` or
     :meth:`to_dict` to audit.
     """
@@ -225,6 +234,32 @@ class SloMonitor:
                 for listener in self._clear_listeners:
                     listener(active)
         return transitions
+
+    # ------------------------------------------------------------------
+    # the serving lifecycle
+    # ------------------------------------------------------------------
+    def admission_outcome(self, request, outcome: str, now: float) -> None:
+        if outcome in ("rejected", "shed", "expired"):
+            self.observe(OUTCOME_SERIES, now, 1.0)
+
+    def request_offered(self, request, depth: int, now: float) -> None:
+        trace_id = getattr(request.ctx, "trace_id", None)
+        self.observe(QUEUE_DEPTH_SERIES, now, depth, trace_id)
+
+    def request_requeued(self, request, reason: str, failed: bool, now: float) -> None:
+        if failed:
+            self.observe(OUTCOME_SERIES, now, 1.0)
+
+    def request_completed(self, request, latency_us: int, now: float) -> None:
+        trace_id = getattr(request.ctx, "trace_id", None)
+        self.observe(LATENCY_SERIES, now, latency_us, trace_id)
+        self.observe(OUTCOME_SERIES, now, 0.0)
+
+    def fault_fired(self, kind: str, point: str, device, now: float) -> None:
+        self.observe(FAULT_SERIES, now, 1.0)
+
+    def tick(self, now: float) -> None:
+        self.evaluate(now)
 
     # ------------------------------------------------------------------
     @property

@@ -7,9 +7,9 @@ replay, the serve scheduler) and the profiler: they call :func:`active`
 must therefore stay dependency-free so importing it from the CUDA
 runtime costs nothing and cannot cycle.
 
-The same pattern as the flight recorder's ``self.flight is not None``
-guard, made global because kernel launches have no single owner object
-the way the serving loop does.
+The serving loop's instruments hang off its owner object (the
+service's ``observers`` tuple); kernel launches have no single owner,
+so the profiler's attachment point is this module global instead.
 """
 
 from __future__ import annotations

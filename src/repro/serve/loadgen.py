@@ -222,57 +222,24 @@ def slo_monitor(
     burn-rate fast window.  Returns ``None`` when every threshold is
     ``None``.
     """
-    from repro.obs.monitor import SloMonitor, SloRule
+    from repro.obs import monitor as slo
 
-    short_s = window_s / 4
-    rules = []
-    if p99_ms is not None:
-        rules.append(
-            SloRule(
-                "latency-p99",
-                "repro.request.latency",
-                "p99",
-                threshold=p99_ms * 1e3,  # the series is in microseconds
-                window_s=window_s,
-                short_window_s=short_s,
-                min_count=10,
-            )
+    latency_us = None if p99_ms is None else p99_ms * 1e3
+    wanted = (
+        ("latency-p99", slo.LATENCY_SERIES, "p99", latency_us, 10),
+        ("deadline-miss-ratio", slo.OUTCOME_SERIES, "ratio", miss_ratio, 10),
+        ("queue-depth", slo.QUEUE_DEPTH_SERIES, "max", queue_depth, 1),
+        ("fault-count", slo.FAULT_SERIES, "count", fault_count, 1),
+    )
+    rules = [
+        slo.SloRule(
+            name, series, stat, threshold=threshold, window_s=window_s,
+            short_window_s=window_s / 4, min_count=min_count,
         )
-    if miss_ratio is not None:
-        rules.append(
-            SloRule(
-                "deadline-miss-ratio",
-                "repro.request.outcome",
-                "ratio",
-                threshold=miss_ratio,
-                window_s=window_s,
-                short_window_s=short_s,
-                min_count=10,
-            )
-        )
-    if queue_depth is not None:
-        rules.append(
-            SloRule(
-                "queue-depth",
-                "repro.queue.depth",
-                "max",
-                threshold=queue_depth,
-                window_s=window_s,
-                short_window_s=short_s,
-            )
-        )
-    if fault_count is not None:
-        rules.append(
-            SloRule(
-                "fault-count",
-                "repro.fault.events",
-                "count",
-                threshold=fault_count,
-                window_s=window_s,
-                short_window_s=short_s,
-            )
-        )
-    return SloMonitor(rules) if rules else None
+        for name, series, stat, threshold, min_count in wanted
+        if threshold is not None
+    ]
+    return slo.SloMonitor(rules) if rules else None
 
 
 def run_load(

@@ -34,7 +34,7 @@ There is one serving path; ``streams`` only picks the timeline calls.
 kernels gated on it by an event (``stream-wait`` in the ledger), and
 the result fetch is a deferred async d2h on the copy stream, so each
 device pipelines two sub-batches deep.  Either way, completion times
-and the flight tracks are read from the
+and the device intervals announced to observers are read from the
 :class:`~repro.simgpu.transfer.StreamOp` each timeline call returns.
 """
 
@@ -119,9 +119,8 @@ class SubBatch:
     #: The sub-batch was timed out and abandoned; its (late) completion
     #: event is reaped without touching sessions or results.
     zombie: bool = False
-    #: Flight-trace ``fused-launch`` span for this sub-batch
-    #: (:class:`repro.obs.flight.FlightSpan`); None when flight
-    #: recording is off.
+    #: Flight-trace ``fused-launch`` span, set by the flight recorder
+    #: when it observes the launch (None when recording is off).
     flight_span: "object | None" = None
 
 
@@ -176,10 +175,9 @@ class DeviceScheduler:
         #: service when chaos is configured); consulted once per
         #: sub-batch launch and once per result fetch.
         self.injector = None
-        #: Optional :class:`repro.obs.flight.FlightRecorder` (set by the
-        #: service); when present, launch/finish record busy/transfer/
-        #: wedged intervals onto per-device utilization tracks.
-        self.flight = None
+        #: The service's lifecycle observers; launch/finish announce
+        #: every busy/transfer/wedged device interval to them.
+        self.observers: "tuple" = ()
 
     # ------------------------------------------------------------------
     def free_devices(self) -> "list[int]":
@@ -555,10 +553,10 @@ class DeviceScheduler:
         self, device_index: int, kind: str, op: StreamOp, label: str,
         start_s: "float | None" = None, end_s: "float | None" = None,
     ) -> None:
-        """Record ``op``'s interval (or its ``[start_s, end_s]`` part) on
-        the device's flight utilization track."""
-        if self.flight is not None:
-            self.flight.device_event(
+        """Announce ``op``'s interval (or its ``[start_s, end_s]`` part)
+        on a device to the observers."""
+        for o in self.observers:
+            o.device_interval(
                 device_index, kind,
                 op.start_s if start_s is None else start_s,
                 op.end_s if end_s is None else end_s,

@@ -189,12 +189,12 @@ class SimulationService:
         self._busy_sessions: "set[str]" = set()
         self._next_request_id = 0
         self._latency_us = obs.request_latency_histogram("serve")
-        #: Optional live SLO monitor (see :meth:`attach_monitor`).
-        self.monitor = None
-        #: Optional flight recorder (see :meth:`attach_flight`).  None
-        #: by default: every flight hook below is guarded, so recording
-        #: off costs nothing and perturbs nothing.
-        self.flight = None
+        #: Each lifecycle point is announced once to these
+        #: :class:`~repro.obs.lifecycle.ServeObserver`\ s (shared with the
+        #: scheduler); empty, the default, costs one empty loop a point.
+        self.observers: "tuple" = ()
+        #: The attached instruments, for callers that read them.
+        self.monitor = self.flight = None
         self._degrade_policy: "str | None" = None
         self._normal_policy: "str | None" = None
         self._normal_window: "float | None" = None
@@ -243,11 +243,10 @@ class SimulationService:
         """Evaluate ``monitor`` (an :class:`repro.obs.monitor.SloMonitor`)
         live, on the service's virtual clock.
 
-        The service feeds the monitor the canonical series — completed
-        request latency (µs) into ``repro.request.latency``, a 0/1
-        failure indicator per terminal request into
-        ``repro.request.outcome``, and the admission queue depth into
-        ``repro.queue.depth`` — and evaluates it after every event.
+        The monitor observes the service's lifecycle: it samples the
+        canonical series — completed request latency (µs), a 0/1
+        failure indicator per terminal request, the admission queue
+        depth, and fired faults — and evaluates after every event.
 
         ``degrade_policy`` makes admission *react* to alerts: while any
         alert is firing the admission policy switches to it (e.g.
@@ -264,9 +263,9 @@ class SimulationService:
             )
         self.monitor = monitor
         self._degrade_policy = degrade_policy
-        self.admission.outcome_listener = self._on_admission_outcome
         monitor.on_fire(self._on_alert_fire)
         monitor.on_clear(self._on_alert_clear)
+        self._attach(monitor)
 
     # ------------------------------------------------------------------
     # flight tracing
@@ -275,50 +274,26 @@ class SimulationService:
         """Record per-request causal flight traces into ``recorder``
         (an :class:`repro.obs.flight.FlightRecorder`).
 
-        Every subsequent :meth:`submit` mints a
-        :class:`~repro.obs.flight.TraceContext` that rides on the
-        request through admission, batching, scheduling, and every
-        retry/failover hop; the scheduler additionally feeds the
-        recorder's per-device utilization tracks.  The recorder's
-        tail-sampling policy decides which finished traces survive.
+        The recorder observes every lifecycle point: it mints a
+        :class:`~repro.obs.flight.TraceContext` per submitted request,
+        follows it through admission, batching, scheduling, and every
+        retry/failover hop, and paints the scheduler's device intervals
+        onto per-device utilization tracks.  Its tail-sampling policy
+        decides which finished traces survive.
         """
         self.flight = recorder
-        self.scheduler.flight = recorder
+        self._attach(recorder)
+
+    def _attach(self, observer) -> None:
+        self.observers = self.scheduler.observers = (*self.observers, observer)
         self.admission.outcome_listener = self._on_admission_outcome
 
-    def _on_admission_outcome(
-        self, request: StepRequest, outcome: str, now: float
-    ) -> None:
-        """Admission callback: terminal failures feed the outcome
-        series, and the flight trace gains its admission-side spans."""
-        if self.monitor is not None and outcome in ("rejected", "shed", "expired"):
-            self.monitor.observe("repro.request.outcome", now, 1.0)
-        fl = self.flight
-        ctx = request.ctx
-        if fl is None or ctx is None:
-            return
-        # drain() sweeps stragglers with drop_expired(inf); clamp so the
-        # trace carries the service clock, not a literal infinity.
-        t = self.now if now == float("inf") else now
-        if outcome == "admitted":
-            if ctx.queue is not None and ctx.queue.end_s is None:
-                # A blocked (or shed-path) request finally got a slot:
-                # the open queue span absorbs the blocked wait.
-                ctx.queue.attrs["admitted_s"] = t
-            else:
-                fl.end(fl.start(ctx, "admit", t, parent=ctx.root), t)
-                ctx.queue = fl.start(ctx, "queue", t, parent=ctx.root)
-        elif outcome == "blocked":
-            ctx.queue = fl.start(ctx, "queue", t, parent=ctx.root, blocked=True)
-        elif outcome in ("rejected", "shed", "expired"):
-            where = "submit" if request.admit_s is None else "dequeue"
-            if ctx.queue is not None and ctx.queue.end_s is None:
-                fl.end(ctx.queue, t, outcome=outcome)
-            if outcome == "expired":
-                ctx.flags.add("deadline-miss")
-            if ctx.root is not None and ctx.root.end_s is None:
-                fl.end(ctx.root, t, outcome=outcome, where=where)
-            fl.finish(ctx, t)
+    def _on_admission_outcome(self, request, outcome: str, now: float) -> None:
+        # drain() sweeps stragglers with drop_expired(inf); clamp so
+        # observers see the service clock, not a literal infinity.
+        now = self.now if now == float("inf") else now
+        for o in self.observers:
+            o.admission_outcome(request, outcome, now)
 
     def _on_alert_fire(self, alert) -> None:
         obs.instant(
@@ -350,17 +325,10 @@ class SimulationService:
             self.batcher.window_s = self._normal_window
             self._normal_window = None
 
-    def _on_fault_injected(
-        self, kind: str, point: str, device_index: "int | None"
-    ) -> None:
-        """Injector listener: every fired fault feeds the SLO monitor's
-        fault series (rate rules alert on bursts)."""
-        if self.monitor is not None:
-            self.monitor.observe("repro.fault.events", self.now, 1.0)
-
-    def _evaluate_monitor(self) -> None:
-        if self.monitor is not None:
-            self.monitor.evaluate(self.now)
+    def _on_fault_injected(self, kind: str, point: str, device) -> None:
+        """Injector listener: every fired fault reaches the observers."""
+        for o in self.observers:
+            o.fault_fired(kind, point, device, self.now)
 
     def submit(
         self,
@@ -388,25 +356,12 @@ class SimulationService:
         request.request_id = self._next_request_id
         self._next_request_id += 1
         self.stats.submitted += 1
-        if self.flight is not None:
-            ctx = self.flight.mint()
-            request.ctx = ctx
-            ctx.root = self.flight.start(
-                ctx,
-                "request",
-                self.now,
-                request=request.request_id,
-                session=session_id,
-            )
+        for o in self.observers:
+            o.request_submitted(request, self.now)
         self.admission.submit(request, self.now)
-        if self.monitor is not None:
-            self.monitor.observe(
-                "repro.queue.depth",
-                self.now,
-                self.admission.depth,
-                getattr(request.ctx, "trace_id", None),
-            )
-            self._evaluate_monitor()
+        for o in self.observers:
+            o.request_offered(request, self.admission.depth, self.now)
+            o.tick(self.now)
         return request
 
     # ------------------------------------------------------------------
@@ -496,7 +451,8 @@ class SimulationService:
             self._reap_zombie(sub)
         self.admission.drop_expired(self.now)
         self._launch_ready()
-        self._evaluate_monitor()
+        for o in self.observers:
+            o.tick(self.now)
 
     # ------------------------------------------------------------------
     # fault recovery (all no-ops on fault-free runs)
@@ -515,10 +471,8 @@ class SimulationService:
         ]
         for _, _, request in due:
             self.admission.submit(request, self.now)
-            if self.monitor is not None:
-                self.monitor.observe(
-                    "repro.queue.depth", self.now, self.admission.depth
-                )
+            for o in self.observers:
+                o.request_offered(request, self.admission.depth, self.now)
 
     def _schedule_probe(self) -> None:
         nxt = self.now + self.retry.probe_interval_s
@@ -561,16 +515,13 @@ class SimulationService:
 
     def _fault_requeue(self, requests: "list[StepRequest]", reason: str) -> None:
         """Route faulted requests: park for retry, or fail them out."""
-        # Timeouts and corrupt fetches roll sessions back and drop
-        # residency (_restore_session): the next attempt is a failover
-        # hop.  Launch-stage faults never moved state: a plain retry.
-        failover = reason in ("batch-timeout", "result-corrupt")
         for request in requests:
             request.attempts += 1
             request.launch_s = None
             request.device_index = None
             request.batch_id = None
-            if request.attempts >= self.retry.max_attempts:
+            failed = request.attempts >= self.retry.max_attempts
+            if failed:
                 request.status = RequestStatus.FAILED
                 self.stats.failed += 1
                 obs.counter("repro.serve.requests", outcome="failed").inc()
@@ -581,10 +532,6 @@ class SimulationService:
                     reason=reason,
                     attempts=request.attempts,
                 )
-                if self.monitor is not None:
-                    self.monitor.observe(
-                        "repro.request.outcome", self.now, 1.0
-                    )
             else:
                 request.status = RequestStatus.PENDING
                 wake = self.now + self.retry.backoff_for(request.attempts)
@@ -595,26 +542,8 @@ class SimulationService:
                 obs.record_transfer(
                     "retry", "none", 0, moved=False, label=reason
                 )
-            fl = self.flight
-            ctx = request.ctx
-            if fl is not None and ctx is not None:
-                if ctx.attempt is not None and ctx.attempt.end_s is None:
-                    fl.end(ctx.attempt, self.now, outcome=reason)
-                if ctx.attempt is not None:
-                    ctx.prev_attempt = (
-                        ctx.attempt.span_id,
-                        "failover-of" if failover else "retry-of",
-                    )
-                ctx.flags.add("fault")
-                if failover:
-                    ctx.flags.add("failover")
-                if request.status is RequestStatus.FAILED:
-                    ctx.flags.add("failed")
-                    if ctx.root is not None and ctx.root.end_s is None:
-                        fl.end(
-                            ctx.root, self.now, outcome="failed", reason=reason
-                        )
-                    fl.finish(ctx, self.now)
+            for o in self.observers:
+                o.request_requeued(request, reason, failed, self.now)
 
     def _timeout_sub(self, sub: SubBatch) -> None:
         """Watchdog expiry: abandon the sub-batch, evict its device, and
@@ -629,8 +558,6 @@ class SimulationService:
             requests=len(sub.requests),
         )
         self._in_flight.remove(sub)
-        if self.flight is not None and sub.flight_span is not None:
-            self.flight.end(sub.flight_span, self.now, outcome="batch-timeout")
         # Streams mode pipelines two sub-batches per device, so the
         # evicted device may hold a sibling whose kernels are queued
         # behind the wedge: it goes down with the device (abandoned and
@@ -645,18 +572,12 @@ class SimulationService:
                 device=sib.device_index,
                 requests=len(sib.requests),
             )
-            if self.flight is not None and sib.flight_span is not None:
-                self.flight.end(
-                    sib.flight_span, self.now, outcome="batch-timeout"
-                )
         self.scheduler.abandon(sub)
         for sib in siblings:
             self.scheduler.abandon(sib)
         self.scheduler.evict(sub.device_index, reason="batch-timeout")
         for doomed in (sub, *siblings):
-            for request, session in zip(doomed.requests, doomed.sessions):
-                session.in_flight = False
-                self._busy_sessions.discard(session.session_id)
+            self._end_sub(doomed, "batch-timeout")
         # Every session resident on the dead device — in this sub or
         # idle — fails over (warm sessions pin to their device, so none
         # can be in flight elsewhere).
@@ -706,14 +627,6 @@ class SimulationService:
                 for sub in self.scheduler.place(
                     batch, self.store, free, engine=self.engine
                 ):
-                    fl = self.flight
-                    if fl is not None:
-                        sub.flight_span = fl.start_batch(
-                            self.now,
-                            batch=batch.batch_id,
-                            device=sub.device_index,
-                            size=len(sub.requests),
-                        )
                     for request, session in zip(sub.requests, sub.sessions):
                         request.status = RequestStatus.IN_FLIGHT
                         request.launch_s = self.now
@@ -721,37 +634,8 @@ class SimulationService:
                         request.device_index = sub.device_index
                         session.in_flight = True
                         self._busy_sessions.add(session.session_id)
-                        ctx = request.ctx
-                        if fl is not None and ctx is not None:
-                            if ctx.queue is not None and ctx.queue.end_s is None:
-                                fl.end(ctx.queue, self.now, outcome="launched")
-                            attempt = fl.start(
-                                ctx,
-                                f"attempt-{request.attempts + 1}",
-                                self.now,
-                                parent=ctx.root,
-                                device=sub.device_index,
-                                batch=batch.batch_id,
-                            )
-                            if ctx.prev_attempt is not None:
-                                prev_id, kind = ctx.prev_attempt
-                                fl.link(attempt, ctx.trace_id, prev_id, kind)
-                            # The cross-trace stitch: the fused launch
-                            # knows every rider, every rider knows its
-                            # fused launch.
-                            fl.link(
-                                attempt,
-                                sub.flight_span.trace_id,
-                                sub.flight_span.span_id,
-                                "fused-launch",
-                            )
-                            fl.link(
-                                sub.flight_span,
-                                ctx.trace_id,
-                                attempt.span_id,
-                                "coalesced",
-                            )
-                            ctx.attempt = attempt
+                    for o in self.observers:
+                        o.sub_batch_launched(sub, batch.batch_id, self.now)
                     try:
                         self.scheduler.launch(sub, self.engine, self.now)
                     except InjectedFault as fault:
@@ -761,20 +645,12 @@ class SimulationService:
                         self.now = self.scheduler.timelines[
                             sub.device_index
                         ].host_time
-                        for request, session in zip(
-                            sub.requests, sub.sessions
-                        ):
-                            session.in_flight = False
-                            self._busy_sessions.discard(session.session_id)
                         obs.instant(
                             "serve.launch-fault",
                             device=sub.device_index,
                             kind=fault.kind,
                         )
-                        if fl is not None and sub.flight_span is not None:
-                            fl.end(
-                                sub.flight_span, self.now, outcome=fault.kind
-                            )
+                        self._end_sub(sub, fault.kind)
                         self._fault_requeue(sub.requests, fault.kind)
                         continue
                     # The single host thread serializes dispatch work.
@@ -809,13 +685,8 @@ class SimulationService:
                 device=sub.device_index,
                 requests=len(sub.requests),
             )
-            if self.flight is not None and sub.flight_span is not None:
-                self.flight.end(
-                    sub.flight_span, self.now, outcome="result-corrupt"
-                )
-            for request, session in zip(sub.requests, sub.sessions):
-                session.in_flight = False
-                self._busy_sessions.discard(session.session_id)
+            self._end_sub(sub, "result-corrupt")
+            for session in sub.sessions:
                 self._restore_session(session, "result-corrupt")
             self._fault_requeue(sub.requests, "result-corrupt")
             self.admission.on_slots_freed(self.now)
@@ -842,37 +713,28 @@ class SimulationService:
                 _time.perf_counter() - started,
             )
         self._demux_results(sub)
-        fl = self.flight
-        if fl is not None and sub.flight_span is not None:
-            fl.end(sub.flight_span, self.now, outcome="done")
-        for request, session in zip(sub.requests, sub.sessions):
-            session.in_flight = False
-            self._busy_sessions.discard(session.session_id)
+        self._end_sub(sub, "done")
+        for request in sub.requests:
             request.status = RequestStatus.DONE
             request.finish_s = self.now
             self.stats.completed += 1
             latency_us = max(1, int(request.latency_s * 1e6))
-            trace_id = None
-            ctx = request.ctx
-            if fl is not None and ctx is not None:
-                trace_id = ctx.trace_id
-                if ctx.attempt is not None and ctx.attempt.end_s is None:
-                    fl.end(ctx.attempt, self.now, outcome="done")
-                if ctx.root is not None and ctx.root.end_s is None:
-                    fl.end(
-                        ctx.root, self.now,
-                        outcome="done", latency_us=latency_us,
-                    )
-                fl.finish(ctx, self.now)
-            self._latency_us.observe(latency_us, trace_id)
+            self._latency_us.observe(
+                latency_us, getattr(request.ctx, "trace_id", None)
+            )
             obs.request_outcome_counter("serve", "done").inc()
-            if self.monitor is not None:
-                self.monitor.observe(
-                    "repro.request.latency", self.now, latency_us, trace_id
-                )
-                self.monitor.observe("repro.request.outcome", self.now, 0.0)
+            for o in self.observers:
+                o.request_completed(request, latency_us, self.now)
         self._in_flight.remove(sub)
         self.admission.on_slots_freed(self.now)
+
+    def _end_sub(self, sub: SubBatch, outcome: str) -> None:
+        """A sub-batch left flight: free its sessions, tell observers."""
+        for session in sub.sessions:
+            session.in_flight = False
+            self._busy_sessions.discard(session.session_id)
+        for o in self.observers:
+            o.sub_batch_ended(sub, outcome, self.now)
 
     def _demux_results(self, sub: SubBatch) -> None:
         """Slice the fused draw-matrix vector back per request.

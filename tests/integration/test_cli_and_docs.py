@@ -73,3 +73,37 @@ class TestDocumentationGates:
             path = root / doc
             assert path.exists(), f"{doc} missing"
             assert path.stat().st_size > 1000, f"{doc} looks empty"
+
+
+class TestPackaging:
+    def test_every_third_party_import_is_declared(self):
+        import ast
+        import re
+        import sys
+        from pathlib import Path
+
+        root = Path(repro.__file__).resolve().parents[2]
+        block = re.search(
+            r"^dependencies\s*=\s*\[(.*?)\]",
+            (root / "pyproject.toml").read_text(),
+            re.S | re.M,
+        ).group(1)
+        # A requirement's distribution name runs up to its first specifier.
+        declared = {
+            name.lower() for name in re.findall(r"[\"']([\w.-]+)", block)
+        }
+        imported = {}
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top != "repro" and top not in sys.stdlib_module_names:
+                        imported.setdefault(top, path.name)
+        undeclared = {m: p for m, p in imported.items() if m not in declared}
+        assert not undeclared, f"imported but not in pyproject.toml: {undeclared}"

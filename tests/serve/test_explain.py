@@ -3,6 +3,7 @@ request's retained trace reconstructs, end to end."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro import obs
 from repro.fault import FaultConfig
 from repro.obs.flight import FlightRecorder
-from repro.serve import explain
+from repro.serve import explain, loadgen
 from repro.serve.request import RequestStatus
 from repro.serve.service import ServeConfig, SimulationService
 
@@ -165,24 +166,68 @@ class TestExplainCli:
         assert explain.main([path, "424242"]) == 1
         assert "tail sampling" in capsys.readouterr().err
 
+    def test_chaos_loadgen_failover_explains(self, tmp_path, capsys):
+        flight, report = tmp_path / "flight.json", tmp_path / "report.json"
+        assert loadgen.main(
+            ["--chaos", "--seed", "7", "--duration", "0.3",
+             "--flight", str(flight), "--json", str(report)]
+        ) == 0
+        summary = json.loads(report.read_text())["flight"]
+        assert 0 < summary["retained"] <= summary["cap"]
+        assert summary["failover_request_ids"], "no failed-over request"
+        assert any(e["retained"] for e in summary["p99_exemplars"]), (
+            "no p99 exemplar resolves to a retained trace"
+        )
+        target = summary["failover_request_ids"][0]
+        out = tmp_path / "waterfall.json"
+        assert explain.main(
+            [str(flight), str(target), "--json", str(out), "--gantt"]
+        ) == 0
+        doc = json.loads(out.read_text())
+        assert doc["connected"], "waterfall has causal gaps"
+        assert any(h["kind"] == "failover-of" for h in doc["hops"])
+
 
 class TestTracingIsInert:
     def test_flight_off_leaves_no_context_and_same_timings(self):
-        def run(attach: bool):
+        # No observers, the flight recorder, and the flight recorder plus
+        # an SLO monitor (no degrade policy, so alerts steer nothing)
+        # must all give the same schedule, counters and ledger, clean
+        # and through a hang, timeout and failover.
+        def run(script, flight: bool, monitor: bool):
             obs.reset()
             service = SimulationService(
-                ServeConfig(agents_per_session=16, devices=2, physics=False)
+                ServeConfig(
+                    agents_per_session=16, devices=2, physics=False,
+                    faults=script and FaultConfig(script=script),
+                )
             )
-            if attach:
+            if flight:
                 service.attach_flight(FlightRecorder(head_sample_every=1))
-            service.create_session("a")
-            requests = [service.submit("a") for _ in range(4)]
+            if monitor:
+                slo = loadgen.slo_monitor(queue_depth=0, fault_count=0)
+                service.attach_monitor(slo)
+            for name in "abc":
+                service.create_session(name, seed=3)
+            requests = [service.submit(n) for _ in range(3) for n in "abc"]
             service.drain()
-            return [(r.status.name, r.finish_s, r.latency_s) for r in requests]
+            if monitor:
+                assert slo.log, "the monitor never fired"
+            return (
+                [
+                    (r.status.name, r.attempts, r.admit_s, r.launch_s,
+                     r.finish_s, r.latency_s)
+                    for r in requests
+                ],
+                dataclasses.asdict(service.stats),
+                json.dumps(obs.get_ledger().snapshot(), sort_keys=True),
+            )
 
-        off = run(False)
-        on = run(True)
-        assert off == on
+        for script in (None, {"launch": [None, "hang"]}):
+            off = run(script, False, False)
+            assert off[1]["timeouts"] == (script is not None)
+            assert run(script, True, False) == off
+            assert run(script, True, True) == off
 
     def test_flight_off_requests_carry_no_ctx(self):
         service = SimulationService(

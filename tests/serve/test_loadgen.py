@@ -2,6 +2,7 @@
 
 import json
 
+from repro import obs
 from repro.fault import FaultConfig
 from repro.serve.loadgen import LoadReport, main, run_load
 from repro.serve.service import ServeConfig
@@ -91,6 +92,10 @@ class TestChaosMode:
         assert report.faults["injected"] > 0
         assert report.stranded == 0
         assert report.completed + report.failed > 0
+        # Every fault is attributed, and some session failed over.
+        by_cause = obs.get_ledger().snapshot()["count_by_cause"]
+        assert by_cause["fault-inject"] > 0
+        assert by_cause["failover-restore"] >= 1
 
     def test_chaos_report_is_deterministic(self):
         assert self._chaos_run().to_dict() == self._chaos_run().to_dict()

@@ -124,3 +124,21 @@ class TestLatencySeries:
             "repro.request.outcome{component=serve,outcome=rejected}"
         ]
         assert done > 0 and rejected > 0
+
+
+class TestDrainSweep:
+    def test_swept_requests_reach_the_monitor_on_the_service_clock(self):
+        from repro.obs.monitor import OUTCOME_SERIES, SloMonitor, SloRule
+        from repro.serve.service import SimulationService
+
+        rule = SloRule("outcomes", OUTCOME_SERIES, "count", 1, window_s=1.0)
+        monitor = SloMonitor([rule])
+        service = SimulationService(_config())
+        service.attach_monitor(monitor)
+        service.create_session("a")
+        service.submit("a", deadline_s=1.0)
+        # drain()'s last-resort sweep expires unlaunchable work "at" inf;
+        # a sample stamped inf would age every later sample out at once.
+        service.admission.drop_expired(float("inf"))
+        monitor.observe(OUTCOME_SERIES, service.now, 0.0)
+        assert [a.rule for a in monitor.evaluate(service.now)] == ["outcomes"]
