@@ -19,14 +19,11 @@ This package builds that layer on the same machinery as
   grid composing a :class:`FlatMap` cell directory with CSR member
   lists; built on the host in O(n), queried on the device in O(k).
 
-Both participate in the CuPP protocol exactly like ``cupp.Vector``:
-1:1 host/device type binding (listing 4.6), lazy residency (uploads
-happen only when a kernel consumes a stale structure), and dirty
-tracking (host mutation invalidates the device copy).  Their traffic is
-attributed in the transfer ledger under the ``grid-build`` /
-``grid-query`` causes and counted in the ``cupp.containers.*`` metric
-family, so the observability stack sees containers like any other
-device allocation.
+Both are 1:1 host/device type pairs (listing 4.6) and share the §4.6
+lazy-copy implementation of every CuPP container
+(:class:`~repro.cupp.lazy.HostBuiltContainer`): their traffic lands in
+the transfer ledger under ``grid-build`` / ``grid-query`` and in the
+``cupp.containers.*`` metric family.
 """
 
 from __future__ import annotations

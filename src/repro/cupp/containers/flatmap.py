@@ -9,15 +9,12 @@ allocation.
 
 Construction happens on the host (paper ch. 7: "Data structures must be
 constructed at the host, due to the low arithmetic intensity of such a
-process"); the device only ever reads.  The CuPP protocol is the same
-as ``cupp.Vector``'s:
-
-* ``transform()`` / ``get_device_reference()`` upload the probe arrays
-  **iff** the device copy is absent or stale (lazy residency);
-* any host mutation marks the device copy stale (dirty tracking);
-* uploads are attributed to the ``grid-build`` ledger cause, and every
-  kernel consumption records a ``grid-query`` entry (``moved=False`` —
-  on-device bytes read, not bus traffic).
+process"); the device only ever reads.  Residency is the shared §4.6
+protocol of :class:`~repro.cupp.lazy.HostBuiltContainer`: any host
+mutation marks the device copy stale, the next kernel consumption
+uploads the probe arrays (ledger cause ``grid-build``), and every
+consumption records a ``grid-query`` entry (``moved=False`` — on-device
+bytes read, not bus traffic).
 
 The load factor is capped at 1/2 and the capacity is a power of two,
 so linear probing terminates quickly and the device kernel's probe loop
@@ -30,11 +27,9 @@ import pickle
 
 import numpy as np
 
-from repro import obs
 from repro.cupp.device import Device
-from repro.cupp.device_reference import DeviceReference
 from repro.cupp.exceptions import CuppUsageError
-from repro.cupp.memory1d import Memory1D
+from repro.cupp.lazy import HostBuiltContainer
 from repro.simgpu import devicelib as dl
 from repro.simgpu.isa import ld
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
@@ -132,7 +127,7 @@ def device_map_get(fmap: DeviceFlatMap, key: int, default: int = NOT_FOUND):
         yield dl.iadd()
 
 
-class FlatMap:
+class FlatMap(HostBuiltContainer):
     """Host-side ``unordered_map`` with a lazily synchronized device twin.
 
     Keys are uint64, values int32 — the shapes device code can read
@@ -144,16 +139,16 @@ class FlatMap:
     host_type: "type | None" = None
     device_type = DeviceFlatMap
 
+    invalidate_instant = "flatmap.invalidate-device"
+    query_label = "flatmap"
+
     _MIN_CAPACITY = 8
 
     def __init__(self, items: "dict | None" = None) -> None:
+        HostBuiltContainer.__init__(self)
         self._keys = np.full(self._MIN_CAPACITY, EMPTY_KEY, dtype=np.uint64)
         self._vals = np.zeros(self._MIN_CAPACITY, dtype=np.int32)
         self._size = 0
-        # Lazy-copy state (same protocol as cupp.Vector).
-        self._mem_keys: Memory1D | None = None
-        self._mem_vals: Memory1D | None = None
-        self._device_valid = False
         if items:
             for key, value in items.items():
                 self[key] = value
@@ -201,12 +196,6 @@ class FlatMap:
         self._vals[slot] = value
         if not occupied:
             self._size += 1
-
-    def _before_host_write(self) -> None:
-        """Dirty tracking: host mutation invalidates the device copy."""
-        if self._device_valid:
-            obs.instant("flatmap.invalidate-device", nbytes=self.device_nbytes)
-        self._device_valid = False
 
     # ------------------------------------------------------------------
     # std::unordered_map-like host interface
@@ -324,68 +313,12 @@ class FlatMap:
         """Bytes the device copy occupies (keys + vals arrays)."""
         return self.capacity * (8 + 4)
 
-    def _ensure_device(self, device: Device, nested: bool = False) -> None:
-        """Upload the probe arrays iff absent, resized, or stale.
-
-        ``nested=True`` suppresses the ``cupp.containers.*`` counters —
-        a composite container (:class:`~repro.cupp.containers.hashgrid.
-        HashGrid`) accounts for the whole structure once; the ledger
-        still sees the inner arrays' real upload bytes either way.
-        """
-        if self._mem_keys is not None and self._mem_keys.device is not device:
-            raise CuppUsageError(
-                "FlatMap is bound to a different device; CuPP supports one "
-                "device per container"
-            )
-        if self._mem_keys is None or self._mem_keys.count != self.capacity:
-            if self._mem_keys is not None:
-                self._mem_keys.close()
-                self._mem_vals.close()
-                if not nested:
-                    obs.counter("cupp.containers.reallocs").inc()
-            self._mem_keys = Memory1D(device, np.uint64, self.capacity)
-            self._mem_vals = Memory1D(device, np.int32, self.capacity)
-            self._device_valid = False
-        if not self._device_valid:
-            self._mem_keys.copy_from_host(self._keys, cause="grid-build")
-            self._mem_vals.copy_from_host(self._vals, cause="grid-build")
-            self._device_valid = True
-            if not nested:
-                obs.counter("cupp.containers.uploads").inc()
-        elif not nested:
-            obs.counter("cupp.containers.lazy_hits").inc()
-            tracer = obs.get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "containers.lazy-hit", nbytes=self.device_nbytes
-                )
+    def _host_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
+        return self._keys, self._vals
 
     def _device_twin(self) -> DeviceFlatMap:
-        return DeviceFlatMap(self._mem_keys.view(), self._mem_vals.view())
-
-    def transform(self, device: Device) -> DeviceFlatMap:
-        """Pass-by-value: upload if needed, attribute the consumption."""
-        self._ensure_device(device)
-        obs.counter("cupp.containers.queries").inc()
-        obs.record_transfer(
-            "grid-query",
-            "d2d",
-            self.device_nbytes,
-            moved=False,
-            label="flatmap",
-        )
-        return self._device_twin()
-
-    def get_device_reference(self, device: Device) -> DeviceReference:
-        return DeviceReference(device, self.transform(device))
-
-    def dirty(self, device_ref: DeviceReference) -> None:
-        """Containers are device-read-only (built at the host, ch. 7):
-        a kernel claiming to have mutated one is a usage error."""
-        raise CuppUsageError(
-            "cupp.containers structures are const on the device; pass them "
-            "as ConstRef parameters"
-        )
+        keys, vals = self._blocks
+        return DeviceFlatMap(keys.view(), vals.view())
 
 
 # Listing 4.6: both types carry both typedefs, matched 1:1.

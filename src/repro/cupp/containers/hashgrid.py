@@ -21,12 +21,13 @@ unreachable.  Cell coordinates are ``floor(p / cell_edge)`` computed in
 float64 — bit-identical between the numpy build, the emulated kernel,
 and the native twin.
 
-Residency follows the ``cupp.Vector`` protocol: ``build()`` marks the
-device copy stale (dirty tracking), ``transform()`` uploads only when
-stale (lazy residency, ledger cause ``grid-build``) and attributes
-every kernel consumption as ``grid-query`` on-device traffic.  The
-``cupp.containers.*`` counter family (builds / uploads / queries /
-lazy_hits / reallocs) makes the rebuild-vs-reuse economics observable.
+Residency is the shared §4.6 protocol of
+:class:`~repro.cupp.lazy.HostBuiltContainer`: ``build()`` marks the
+device copy stale, ``transform()`` uploads only when stale (ledger cause
+``grid-build``) and attributes every kernel consumption as
+``grid-query`` on-device traffic.  The ``cupp.containers.*`` counter
+family (builds / uploads / queries / lazy_hits / reallocs) makes the
+rebuild-vs-reuse economics observable.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import numpy as np
 from repro import obs
 from repro.cupp.containers.flatmap import DeviceFlatMap, FlatMap
 from repro.cupp.device import Device
-from repro.cupp.device_reference import DeviceReference
 from repro.cupp.exceptions import CuppUsageError
-from repro.cupp.memory1d import Memory1D
+from repro.cupp.lazy import HostBuiltContainer
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
 #: Bits per axis in a packed cell key (3 x 21 = 63 < 64).
@@ -154,7 +154,7 @@ class DeviceHashGrid:
         )
 
 
-class HashGrid:
+class HashGrid(HostBuiltContainer):
     """Host-built spatial hash with a lazily synchronized device twin.
 
     Parameters
@@ -167,7 +167,14 @@ class HashGrid:
     host_type: "type | None" = None
     device_type = DeviceHashGrid
 
+    invalidate_instant = "hashgrid.invalidate-device"
+    query_label = "hashgrid"
+    # The cell directory is a FlatMap with its own residency, uploaded
+    # after members/starts and accounted as part of the grid.
+    parts = ("cells",)
+
     def __init__(self, cell_edge: float) -> None:
+        HostBuiltContainer.__init__(self)
         if not cell_edge > 0:
             raise CuppUsageError(
                 f"cell_edge must be positive, got {cell_edge}"
@@ -177,10 +184,6 @@ class HashGrid:
         self._starts: np.ndarray | None = None
         self._keys: np.ndarray | None = None  # per-segment packed cell key
         self.cells = FlatMap()
-        # Lazy-copy state (same protocol as cupp.Vector).
-        self._mem_members: Memory1D | None = None
-        self._mem_starts: Memory1D | None = None
-        self._device_valid = False
 
     # ------------------------------------------------------------------
     # host-side construction ("fast construction", ch. 7)
@@ -228,14 +231,6 @@ class HashGrid:
             raise CuppUsageError(
                 "HashGrid.build() must run before this operation"
             )
-
-    def _before_host_write(self) -> None:
-        """Dirty tracking: a rebuild invalidates the device copy."""
-        if self._device_valid:
-            obs.instant(
-                "hashgrid.invalidate-device", nbytes=self.device_nbytes
-            )
-        self._device_valid = False
 
     # ------------------------------------------------------------------
     # host-side queries (tests, native twins, reference answers)
@@ -301,71 +296,18 @@ class HashGrid:
             + self.cells.device_nbytes
         )
 
-    def _ensure_device(self, device: Device) -> None:
-        """Upload the CSR arrays + directory iff absent or stale."""
+    def _host_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
         self._require_built()
-        if (
-            self._mem_members is not None
-            and self._mem_members.device is not device
-        ):
-            raise CuppUsageError(
-                "HashGrid is bound to a different device; CuPP supports one "
-                "device per container"
-            )
         members = self._members if self._members.size else np.zeros(1, np.int32)
-        if (
-            self._mem_members is None
-            or self._mem_members.count != members.size
-            or self._mem_starts.count != self._starts.size
-        ):
-            if self._mem_members is not None:
-                self._mem_members.close()
-                self._mem_starts.close()
-                obs.counter("cupp.containers.reallocs").inc()
-            self._mem_members = Memory1D(device, np.int32, members.size)
-            self._mem_starts = Memory1D(device, np.int32, self._starts.size)
-            self._device_valid = False
-        if not self._device_valid:
-            self._mem_members.copy_from_host(members, cause="grid-build")
-            self._mem_starts.copy_from_host(self._starts, cause="grid-build")
-            self.cells._ensure_device(device, nested=True)
-            self._device_valid = True
-            obs.counter("cupp.containers.uploads").inc()
-        else:
-            self.cells._ensure_device(device, nested=True)
-            obs.counter("cupp.containers.lazy_hits").inc()
-            tracer = obs.get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "containers.lazy-hit", nbytes=self.device_nbytes
-                )
+        return members, self._starts
 
-    def transform(self, device: Device) -> DeviceHashGrid:
-        """Pass-by-value: upload if needed, attribute the consumption."""
-        self._ensure_device(device)
-        obs.counter("cupp.containers.queries").inc()
-        obs.record_transfer(
-            "grid-query",
-            "d2d",
-            self.device_nbytes,
-            moved=False,
-            label="hashgrid",
-        )
+    def _device_twin(self) -> DeviceHashGrid:
+        members, starts = self._blocks
         return DeviceHashGrid(
-            self._mem_members.view(),
-            self._mem_starts.view(),
+            members.view(),
+            starts.view(),
             self.cells._device_twin(),
             self.cell_edge,
-        )
-
-    def get_device_reference(self, device: Device) -> DeviceReference:
-        return DeviceReference(device, self.transform(device))
-
-    def dirty(self, device_ref: DeviceReference) -> None:
-        """Containers are device-read-only (built at the host, ch. 7)."""
-        raise CuppUsageError(
-            "cupp.containers structures are const on the device; pass them "
-            "as ConstRef parameters"
         )
 
 

@@ -18,15 +18,14 @@ each row's *own* ``transform`` result is what gets linearized.
 from __future__ import annotations
 
 import pickle
+import weakref
 from typing import Iterable
 
 import numpy as np
 
-from repro import obs
 from repro.cupp.device import Device
-from repro.cupp.device_reference import DeviceReference
 from repro.cupp.exceptions import CuppUsageError
-from repro.cupp.memory1d import Memory1D
+from repro.cupp.lazy import LazyContainer
 from repro.cupp.vector import Vector
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
@@ -76,57 +75,32 @@ class DeviceNestedVector:
         )
 
 
-class NestedVector:
-    """A growable vector of :class:`Vector` rows (``vector<vector<T>>``)."""
+class NestedVector(LazyContainer):
+    """A growable vector of :class:`Vector` rows (``vector<vector<T>>``).
+
+    A row knows the nested vectors holding it: a host write to the row,
+    or a kernel writing it through ``Ref``, marks their device copies
+    stale, however the row was reached.
+    """
 
     host_type: type = None
     device_type = DeviceNestedVector
 
+    metric_prefix = "cupp.nested_vector"
+
     def __init__(
         self, rows: "Iterable[Iterable] | None" = None, dtype=np.float32
     ) -> None:
+        LazyContainer.__init__(self)
         self.dtype = np.dtype(dtype)
         self._rows: list[Vector] = []
-        self._mem_offsets: Memory1D | None = None
-        self._mem_values: Memory1D | None = None
-        self._device_valid = False
-        self._host_valid = True
-        self._uploads = obs.Counter()
-        self._downloads = obs.Counter()
         if rows is not None:
             for row in rows:
                 self.push_back(row)
 
-    @property
-    def uploads(self) -> int:
-        """Host -> device linearized uploads performed."""
-        return self._uploads.value
-
-    @property
-    def downloads(self) -> int:
-        """Device -> host downloads performed."""
-        return self._downloads.value
-
     # ------------------------------------------------------------------
     # host interface
     # ------------------------------------------------------------------
-    def _ensure_host(self) -> None:
-        if self._host_valid:
-            return
-        flat = self._mem_values.copy_to_host(cause="lazy-miss")
-        offsets = self._mem_offsets.copy_to_host(cause="lazy-miss")
-        for r, row in enumerate(self._rows):
-            row_data = flat[offsets[r] : offsets[r + 1]]
-            for i, v in enumerate(row_data):
-                row[i] = v
-        self._host_valid = True
-        self._downloads.inc()
-        obs.counter("cupp.nested_vector.downloads").inc()
-
-    def _before_host_write(self) -> None:
-        self._ensure_host()
-        self._device_valid = False
-
     def push_back(self, row: "Iterable | Vector") -> None:
         self._before_host_write()
         if isinstance(row, Vector):
@@ -134,29 +108,30 @@ class NestedVector:
                 raise CuppUsageError(
                     f"row dtype {row.dtype} != nested dtype {self.dtype}"
                 )
-            self._rows.append(row)
         else:
-            self._rows.append(Vector(row, dtype=self.dtype))
+            row = Vector(row, dtype=self.dtype)
+        if not row._holders:
+            row._holders = weakref.WeakSet()
+        row._holders.add(self)
+        self._rows.append(row)
 
     def pop_back(self) -> Vector:
         self._before_host_write()
         if not self._rows:
             raise CuppUsageError("pop_back on an empty nested vector")
-        return self._rows.pop()
+        row = self._rows.pop()
+        if all(kept is not row for kept in self._rows):
+            row._holders.discard(self)
+        return row
 
     def __len__(self) -> int:
-        self._ensure_host()
-        return len(self._rows)
+        return len(self._rows)  # the device cannot add or drop rows
 
     def __getitem__(self, index: int) -> Vector:
         self._ensure_host()
-        # Handing out the row lets the caller mutate it behind our back;
-        # conservatively invalidate the device copy, like any host write.
-        self._device_valid = False
         return self._rows[index]
 
     def row_lengths(self) -> list[int]:
-        self._ensure_host()
         return [len(r) for r in self._rows]
 
     def total_elements(self) -> int:
@@ -169,45 +144,28 @@ class NestedVector:
     # ------------------------------------------------------------------
     # the CuPP protocol: recursive transformation + lazy copying
     # ------------------------------------------------------------------
+    def _host_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
+        # Element-wise transformation first (§4.6: the value type is
+        # transformed too), then linearization in traversal order.
+        chunks = [row.to_numpy() for row in self._rows]
+        offsets = np.zeros(len(chunks) + 1, dtype=np.int32)
+        offsets[1:] = np.cumsum([chunk.size for chunk in chunks])
+        flat = np.concatenate(chunks) if chunks else np.zeros(0, self.dtype)
+        return offsets, flat if flat.size else np.zeros(1, dtype=self.dtype)
+
+    def _load_host(self, arrays: "list[np.ndarray]") -> None:
+        offsets, flat = arrays
+        for row, start, stop in zip(self._rows, offsets, offsets[1:]):
+            # A write to the row, but not a change this vector must
+            # re-upload: its device copy is where the data came from.
+            row._before_host_write(source=self)
+            row._store[: stop - start] = flat[start:stop]
+
     def transform(self, device: Device) -> DeviceNestedVector:
-        self._ensure_host()
-        if not self._device_valid:
-            # Element-wise transformation first (§4.6: the value type is
-            # transformed too), then linearization in traversal order.
-            offsets = np.zeros(len(self._rows) + 1, dtype=np.int32)
-            chunks = []
-            for r, row in enumerate(self._rows):
-                chunks.append(row.to_numpy())
-                offsets[r + 1] = offsets[r] + len(row)
-            flat = (
-                np.concatenate(chunks)
-                if chunks
-                else np.zeros(0, dtype=self.dtype)
-            )
-            if self._mem_offsets is not None:
-                self._mem_offsets.close()
-            if self._mem_values is not None:
-                self._mem_values.close()
-            self._mem_offsets = Memory1D.from_host(
-                device, offsets, cause="lazy-miss"
-            )
-            self._mem_values = Memory1D.from_host(
-                device,
-                flat if flat.size else np.zeros(1, dtype=self.dtype),
-                cause="lazy-miss",
-            )
-            self._device_valid = True
-            self._uploads.inc()
-            obs.counter("cupp.nested_vector.uploads").inc()
+        offsets, values = self._ensure_device(device)
         return DeviceNestedVector(
-            self._mem_offsets.view(), self._mem_values.view(), len(self._rows)
+            offsets.view(), values.view(), len(self._rows)
         )
-
-    def get_device_reference(self, device: Device) -> DeviceReference:
-        return DeviceReference(device, self.transform(device))
-
-    def dirty(self, device_ref: DeviceReference) -> None:
-        self._host_valid = False
 
 
 NestedVector.host_type = NestedVector

@@ -3,17 +3,11 @@
 The host side behaves like ``std::vector`` (grow/shrink, random access);
 the device side is a fixed-size window onto global memory ("it is not
 possible to allocate memory on the device.  Therefore the size of the
-vector cannot be changed on the device").
-
-Lazy memory copying implements §4.6 to the letter:
-
-* ``transform()`` and ``get_device_reference()`` copy the vector data to
-  global memory **iff** the device copy is out of date or absent;
-* ``dirty()`` marks the *host* data out of date;
-* any host read checks the flag and downloads first if needed;
-* any host write marks the *device* data out of date.
-
-So "the developer may pass a vector directly to one or multiple kernels,
+vector cannot be changed on the device").  The lazy-copy protocol itself
+— upload iff the device copy is stale, download iff the host copy is —
+lives in :mod:`repro.cupp.lazy`, shared with every other container; this
+module decides what counts as a host read and what as a host write, so
+"the developer may pass a vector directly to one or multiple kernels,
 without the need to think about how memory transfers may be minimized".
 
 A note on the paper's proxy classes: C++ cannot tell ``v[i]`` reads from
@@ -33,7 +27,7 @@ from repro import obs
 from repro.cupp.device import Device
 from repro.cupp.device_reference import DeviceReference
 from repro.cupp.exceptions import CuppUsageError
-from repro.cupp.memory1d import Memory1D
+from repro.cupp.lazy import LazyContainer
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
 
@@ -123,7 +117,7 @@ class DeviceVector:
         return cls(view)
 
 
-class Vector:
+class Vector(LazyContainer):
     """Host-side growable vector with a lazily synchronized device twin.
 
     Parameters
@@ -137,6 +131,16 @@ class Vector:
     host_type: "type | None" = None
     device_type = DeviceVector
 
+    metric_prefix = "cupp.vector"
+    counts_reallocs = True
+    # Growth churn is attributed under its own cause so the allocator
+    # benchmarks can count it.
+    realloc_cause = "vector-realloc"
+    lazy_hit_instant = "vector.lazy-hit"
+    realloc_instant = "vector.realloc"
+    invalidate_instant = "vector.invalidate-device"
+    dirty_instant = "vector.dirty"
+
     _GROWTH = 2  # capacity doubling, the std::vector idiom
 
     #: Constant memory is precious (64 KiB, bump-allocated): "auto" only
@@ -149,6 +153,7 @@ class Vector:
         dtype=np.float32,
         readonly_space: str = "global",
     ) -> None:
+        LazyContainer.__init__(self)
         if readonly_space not in ("global", "texture", "constant", "auto"):
             raise CuppUsageError(
                 f"unknown readonly_space {readonly_space!r}; use global, "
@@ -168,126 +173,39 @@ class Vector:
             arr = np.asarray(list(data) if not isinstance(data, np.ndarray) else data)
             self._store = arr.astype(self.dtype).reshape(-1).copy()
             self._size = self._store.size
-        # Lazy-copy state.
-        self._mem: Memory1D | None = None
-        self._host_valid = True
-        self._device_valid = False
-        # Transfer counters, observable by tests and benchmarks: private
-        # obs.Counter instruments behind read-through properties; the
-        # process-wide totals live in the global MetricsRegistry as
-        # cupp.vector.uploads / cupp.vector.downloads.
-        self._uploads = obs.Counter()
-        self._downloads = obs.Counter()
 
+    # ------------------------------------------------------------------
+    # what the lazy protocol mirrors (§4.6)
+    # ------------------------------------------------------------------
     @property
-    def uploads(self) -> int:
-        """Host -> device transfers this vector has performed."""
-        return self._uploads.value
+    def device_nbytes(self) -> int:
+        """Bytes the device copy occupies.  The device can never resize
+        the vector, so this is host-known even while the host is stale."""
+        return self._size * self.dtype.itemsize
 
-    @property
-    def downloads(self) -> int:
-        """Device -> host transfers this vector has performed."""
-        return self._downloads.value
+    def _host_arrays(self) -> "tuple[np.ndarray]":
+        return (self._store[: self._size],)
 
-    # ------------------------------------------------------------------
-    # host-side freshness management
-    # ------------------------------------------------------------------
-    def _ensure_host(self, cause: str = "lazy-miss") -> None:
-        """Host read path: download from the device if the host is stale.
+    def _load_host(self, arrays: "list[np.ndarray]") -> None:
+        (fresh,) = arrays
+        self._store = fresh.copy()
+        self._size = fresh.size
 
-        ``cause`` names the ledger bucket a forced download lands in;
-        batch assembly (:meth:`concat` / :meth:`split_at`) passes its own
-        attribution so the serving layer's traffic is distinguishable
-        from ordinary lazy misses.
-        """
-        if not self._host_valid:
-            assert self._mem is not None, "host marked stale with no device data"
-            fresh = self._mem.copy_to_host(cause=cause)
-            self._store = fresh.copy()
-            self._size = fresh.size
-            self._host_valid = True
-            self._downloads.inc()
-            obs.counter("cupp.vector.downloads").inc()
+    def _before_host_write(self, source: object = None) -> None:
+        LazyContainer._before_host_write(self, source)
+        self._const_valid = False  # a constant mirror would now be stale
 
-    def _before_host_write(self) -> None:
-        """Host write path: refresh first, then invalidate the device."""
-        self._ensure_host()
-        if self._device_valid:
-            # The dirty-flag flip the lazy protocol pivots on (§4.6).
-            obs.instant(
-                "vector.invalidate-device",
-                nbytes=self._size * self.dtype.itemsize,
-            )
-        self._device_valid = False
-        self._const_valid = False
-
-    def _ensure_device(self, device: Device) -> Memory1D:
-        """Upload iff the device copy is absent, undersized, or stale."""
-        if self._mem is not None and self._mem.device is not device:
-            raise CuppUsageError(
-                "vector is bound to a different device; CuPP supports one "
-                "device per vector"
-            )
-        # The device can never resize the vector (§4.6), so _size is
-        # trustworthy even while the host copy is stale — and if the
-        # device copy is current we must NOT touch the host at all:
-        # that deferred download is the whole point of lazy copying.
-        upload_cause = "lazy-miss"
-        if self._mem is None or self._mem.count != self._size:
-            self._ensure_host()
-            if self._mem is not None:
-                # Growth (or shrink) churn: the old device block is freed
-                # and the full contents re-uploaded — attributed under its
-                # own cause so the allocator benchmarks can count it.
-                self._mem.close()
-                upload_cause = "vector-realloc"
-                obs.counter("cupp.vector.reallocs").inc()
-                obs.instant(
-                    "vector.realloc",
-                    nbytes=self._size * self.dtype.itemsize,
-                )
-            self._mem = Memory1D(device, self.dtype, self._size)
-            self._device_valid = False
-        if not self._device_valid:
-            self._ensure_host()
-            self._mem.copy_from_host(
-                self._store[: self._size], cause=upload_cause
-            )
-            self._device_valid = True
-            self._uploads.inc()
-            obs.counter("cupp.vector.uploads").inc()
-        else:
-            tracer = obs.get_tracer()
-            if tracer.enabled:
-                # The transfer the lazy protocol avoided (§4.6).
-                tracer.instant(
-                    "vector.lazy-hit",
-                    nbytes=self._size * self.dtype.itemsize,
-                )
-        return self._mem
-
-    # ------------------------------------------------------------------
-    # the CuPP protocol (§4.4/§4.6)
-    # ------------------------------------------------------------------
     def transform(self, device: Device) -> DeviceVector:
         """Called for pass-by-value: upload if needed, return the device
         type.  (The expensive part of by-value passing is the host-side
         copy constructor, which already ran by the time this is called.)"""
-        mem = self._ensure_device(device)
+        (mem,) = self._ensure_device(device)
         return DeviceVector(mem.view())
-
-    def get_device_reference(self, device: Device) -> DeviceReference:
-        """Called for pass-by-reference: upload if needed, wrap the device
-        type in a global-memory reference."""
-        return DeviceReference(device, self.transform(device))
 
     def dirty(self, device_ref: DeviceReference) -> None:
         """The kernel mutated the device data: host copy is now stale."""
-        self._host_valid = False
+        LazyContainer.dirty(self, device_ref)
         self._const_valid = False  # a constant mirror would now be stale
-        obs.instant(
-            "vector.dirty", nbytes=self._size * self.dtype.itemsize
-        )
 
     # ------------------------------------------------------------------
     # chapter-7 extension: read-only placement for const references
@@ -309,7 +227,7 @@ class Vector:
         if space == "global":
             return self.transform(device)
         if space == "texture":
-            mem = self._ensure_device(device)
+            (mem,) = self._ensure_device(device)
             from repro.cupp.exceptions import check
 
             from repro.simgpu.caches import TextureReference
@@ -427,7 +345,8 @@ class Vector:
     # std::vector-like host interface
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        self._ensure_host()
+        # Host-known even while the host copy is stale: the device cannot
+        # resize the vector (§4.6), so no download is needed.
         return self._size
 
     @property
@@ -497,7 +416,7 @@ class Vector:
 
     def empty(self) -> bool:
         """``v.empty()`` — true when the vector holds no elements."""
-        return len(self) == 0
+        return self._size == 0
 
     def front(self) -> object:
         """``v.front()`` — the first element."""
@@ -518,14 +437,13 @@ class Vector:
         neither side loses its lazy-copy bookkeeping)."""
         if not isinstance(other, Vector):
             raise CuppUsageError("swap requires another cupp.Vector")
-        for attr in (
-            "dtype", "_store", "_size", "_mem", "_host_valid",
-            "_device_valid", "_uploads", "_downloads", "readonly_space",
-            "_texref", "_const_view", "_const_valid",
-        ):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            setattr(self, attr, theirs)
-            setattr(other, attr, mine)
+        self.__dict__, other.__dict__ = other.__dict__, self.__dict__
+        # Holders hold the object, not its contents: they stay put, and
+        # their device copies no longer match.
+        self._holders, other._holders = other._holders, self._holders
+        for vec in (self, other):
+            if vec._holders:
+                vec._invalidate_holders()
 
     def _check_index(self, index: int) -> int:
         if index < 0:

@@ -52,6 +52,15 @@ def scale_rows(ctx, m: Ref[DeviceNestedVector]):
             yield st(m.values, slot, v * (r + 1.0))
 
 
+@global_
+def double_all(ctx, v: Ref[DeviceVector]):
+    i = ctx.global_thread_id
+    if i < len(v):
+        x = yield ld(v.view, i)
+        yield op(OpClass.FMUL)
+        yield st(v.view, i, x * 2.0)
+
+
 class TestHostInterface:
     def test_construction_and_lengths(self):
         nv = NestedVector([[1, 2, 3], [4], [], [5, 6]])
@@ -131,3 +140,68 @@ class TestKernelInterplay:
         big = NestedVector([list(range(100)) for _ in range(10)])
         dref = big.get_device_reference(dev)
         assert dref.nbytes < 256  # pointers, not payload
+
+
+class TestNoStaleRows:
+    """Every change to a row reaches the nested vector's device copy,
+    however the row was reached."""
+
+    @staticmethod
+    def _sum(dev, nv) -> float:
+        out = Vector(np.zeros(1, np.float32), dtype=np.float32)
+        Kernel(row_sums, 1, 1)(dev, nv, out)
+        return out[0]
+
+    def test_write_through_a_retained_pushed_row(self, dev):
+        row = Vector([1.0, 2.0, 3.0])
+        nv = NestedVector()
+        nv.push_back(row)
+        assert self._sum(dev, nv) == 6.0
+        row[0] = 100.0
+        assert self._sum(dev, nv) == 105.0
+
+    def test_write_through_a_row_taken_before_the_upload(self, dev):
+        nv = NestedVector([[1.0, 2.0, 3.0]])
+        row = nv[0]
+        assert self._sum(dev, nv) == 6.0
+        row[0] = 100.0
+        assert self._sum(dev, nv) == 105.0
+
+    def test_kernel_writing_the_row_through_ref(self, dev):
+        row = Vector([1.0, 2.0, 3.0])
+        nv = NestedVector()
+        nv.push_back(row)
+        assert self._sum(dev, nv) == 6.0
+        Kernel(double_all, 1, 3)(dev, row)
+        assert self._sum(dev, nv) == 12.0
+
+    def test_own_download_does_not_mark_itself_stale(self, dev):
+        nv = NestedVector([[1.0, 1.0], [1.0]])
+        Kernel(scale_rows, 1, 2)(dev, nv)
+        assert nv.to_lists() == [[1.0, 1.0], [2.0]]
+        assert self._sum(dev, nv) == 2.0
+        assert nv.uploads == 1
+
+    def test_sizes_of_a_host_stale_nested_vector_download_nothing(self, dev):
+        nv = NestedVector([[1.0, 1.0], [1.0]])
+        Kernel(scale_rows, 1, 2)(dev, nv)
+        assert len(nv) == 2
+        assert nv.row_lengths() == [2, 1]
+        assert nv.downloads == 0
+
+    def test_swapping_a_row_reaches_its_holder(self, dev):
+        row = Vector([1.0, 2.0, 3.0])
+        nv = NestedVector()
+        nv.push_back(row)
+        assert self._sum(dev, nv) == 6.0
+        row.swap(Vector([10.0]))
+        assert self._sum(dev, nv) == 10.0
+
+    def test_a_popped_row_no_longer_reaches_its_old_holder(self, dev):
+        nv = NestedVector([[1.0], [2.0]])
+        assert self._sum(dev, nv) == 1.0
+        popped = nv.pop_back()
+        self._sum(dev, nv)
+        popped[0] = 50.0
+        assert self._sum(dev, nv) == 1.0
+        assert nv.uploads == 2  # the pop, not the write to the popped row
