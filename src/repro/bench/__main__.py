@@ -12,7 +12,7 @@ The perf-regression gate rides the same entry point::
     python -m repro.bench --baseline benchmarks/baseline.json
     python -m repro.bench --check benchmarks/baseline.json --tolerance 25
 
-``--baseline`` snapshots every gated experiment's key scalars to JSON;
+``--baseline`` snapshots every experiment's key scalars to JSON;
 ``--check`` re-runs them, compares against the committed baseline (per
 :mod:`repro.bench.regression`), and exits non-zero on regression — the
 CI hook that makes the BENCH_* trajectory self-enforcing.
@@ -82,15 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         default=None,
         metavar="PATH",
-        help="write the selected experiments' data dicts as JSON "
-        "(CI smoke steps consume this)",
+        help="write the selected experiments' data dicts as JSON",
     )
     gate = p.add_argument_group("perf-regression gate")
     gate.add_argument(
         "--baseline",
         default=None,
         metavar="FILE",
-        help="snapshot gated experiment scalars to FILE and exit",
+        help="snapshot every experiment's scalars to FILE and exit",
     )
     gate.add_argument(
         "--check",

@@ -4,12 +4,16 @@ Each ``run_*`` function regenerates its experiment's data — workload
 generation, parameter sweep, baselines — and returns structured rows plus
 a rendered report.  The ``benchmarks/`` suite calls these (and asserts
 the paper's qualitative shape); the ``examples/`` scripts reuse them.
+
+Every reported number is modelled (virtual time, the analytic perf
+model) or counted, never read off the wall clock, so every experiment is
+reproducible and gated (:mod:`repro.bench.regression`).  The wall clock
+is measured by ``perf/``.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -295,50 +299,94 @@ def run_fig_6_4(
 
 
 # ----------------------------------------------------------------------
-# §7 — traits-analysis ('compile time') overhead
+# §7 — what the traits analysis costs and what it buys
 # ----------------------------------------------------------------------
 @observed
-def run_sec_7_traits(repeats: int = 2000) -> Experiment:
-    """Cost of CuPP's kernel-signature analysis vs a bare launch config.
+def run_sec_7_traits() -> Experiment:
+    """What CuPP's kernel-signature analysis costs, and what it buys.
 
     The paper's analog: template metaprogramming more than doubled the
-    Boids compile time (3.1 s -> 7.3 s).  Here the pay-once work is
-    ``analyze_kernel`` at Kernel construction.
+    Boids compile time (3.1 s -> 7.3 s), paid once.  Here the pay-once
+    work is ``analyze_kernel``, counted by ``cupp.traits.analyses``:
+
+    * **cost** — analyses per ``Kernel`` construction and per kernel call
+      (1 and 0: no call path pays for the analysis);
+    * **benefit** — each v5 kernel's parameters by :class:`PassKind`, and
+      one v5 step's call semantics (64 agents, after a warm-up step) on
+      both backends: value copies, reference uploads, write-backs, and
+      the write-backs the const references elide (§4.3.2), with their
+      bytes from the ``copy-back-skipped-const`` ledger cause.
+
+    The wall-clock price of the analysis is timed by
+    ``benchmarks/test_sec_7_traits_overhead.py``.
     """
-    from repro.cupp import Kernel, analyze_kernel
-    from repro.gpusteer.kernels_emu import modify_kernel
-    from repro.simgpu.dims import as_dim3
+    from repro.cupp import CallStats, Device, Kernel, PassKind
+    from repro.gpusteer.emulated import EmulatedBoids
+    from repro.gpusteer.kernels_emu import modify_kernel, simulate_v4
 
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        analyze_kernel(modify_kernel)
-    analysis_s = (time.perf_counter() - t0) / repeats
+    agents = 64
+    analyses = obs.counter("cupp.traits.analyses")
+    before = analyses.value
+    kernels = [Kernel(fn, 1, 32) for fn in (simulate_v4, modify_kernel)]
+    per_construction = (analyses.value - before) / len(kernels)
+    params = {
+        k.traits.name: {
+            kind.value: sum(p.kind is kind for p in k.traits.params)
+            for kind in PassKind
+        }
+        for k in kernels
+    }
 
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        as_dim3(128), as_dim3(32)  # the raw-CUDA "configuration" work
-    bare_s = (time.perf_counter() - t0) / repeats
-
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        Kernel(modify_kernel, 128, 32)
-    kernel_s = (time.perf_counter() - t0) / repeats
+    launches = [obs.counter("cupp.kernel.launches", kernel=k.traits.name)
+                for k in kernels]
+    fields = {f: obs.counter(f"cupp.kernel.{f}") for f in CallStats.FIELDS}
+    ledger = obs.get_ledger()
+    step: "dict[str, dict[str, int]]" = {}
+    calls = analysed = 0
+    for kind in ("sim", "native"):
+        boids = EmulatedBoids(agents, 5, seed=11, device=Device(backend=kind))
+        boids.step()  # warm-up: the first step uploads every vector
+        counts = {f: c.value for f, c in fields.items()}
+        launched = sum(c.value for c in launches)
+        analysed_before = analyses.value
+        ledger_before = ledger.snapshot()
+        boids.step()
+        step[kind] = {f: int(c.value - counts[f]) for f, c in fields.items()}
+        # Named after its ledger cause, not "..._bytes": fewer elided
+        # bytes is a broken elision, so the gate must read it as a band.
+        step[kind]["copy_back_skipped_const"] = ledger.delta_since(
+            ledger_before
+        )["bytes_by_cause"]["copy-back-skipped-const"]
+        calls += sum(c.value for c in launches) - launched
+        analysed += analyses.value - analysed_before
+    per_call = analysed / calls
 
     rows = [
-        ("bare launch configuration", f"{bare_s * 1e6:.2f} us"),
-        ("analyze_kernel (traits)", f"{analysis_s * 1e6:.2f} us"),
-        ("cupp.Kernel construction", f"{kernel_s * 1e6:.2f} us"),
-        ("overhead factor", f"{kernel_s / max(bare_s, 1e-12):.0f}x"),
+        ("analyses per Kernel construction", f"{per_construction:g}"),
+        ("analyses per kernel call", f"{per_call:g}"),
+        *((f"{name} params value / ref / const_ref",
+           " / ".join(map(str, kinds.values())))
+          for name, kinds in params.items()),
+        *((f"v5 step {field}", str(n)) for field, n in step["native"].items()),
     ]
-    exp = Experiment("sec-7-traits", rows)
-    exp.data = {"analysis_s": analysis_s, "bare_s": bare_s, "kernel_s": kernel_s}
+    exp = Experiment("sec-7", rows)
+    exp.data = {
+        "agents": agents,
+        "analyses_per_construction": per_construction,
+        "analyses_per_call": per_call,
+        "params": params,
+        "step": step,
+    }
     exp.report = format_table(
-        "§7 — pay-once signature-analysis overhead",
-        ["operation", "cost"],
+        "§7 — pay-once signature analysis: its cost and what it buys",
+        ["measure", "count"],
         rows,
         note="Paper: CuPP's template metaprogramming raised compile time "
-        "from 3.1 s to 7.3 s; the Python analog is run-once signature "
-        "analysis at Kernel construction.",
+        "from 3.1 s to 7.3 s, once; it buys the const-reference copy-back "
+        f"elision (§4.3.2).  Step counts from {agents} agents after a "
+        "warm-up step"
+        + (", identical on sim and native." if step["sim"] == step["native"]
+           else f"; sim differs: {step['sim']}."),
     )
     return exp
 
@@ -678,110 +726,59 @@ def run_fault_recovery(
 @observed
 def run_backend_compare(
     agents: int = 512,
-    steps: int = 5,
     conformance_agents: int = 32,
     conformance_steps: int = 2,
     seed: int = 11,
 ) -> Experiment:
-    """The same kernels on two substrates: virtual time vs wall clock.
+    """The same kernels on two substrates: modelled time and conformance.
 
-    Two measurements:
-
-    * **throughput** — the v5 pipeline at ``agents`` boids, native
-      backend wall-clock seconds per step against the sim backend's
-      *modelled* virtual seconds per step (the analytic perf model the
-      simulator's clock is built from — running the emulator at this
+    * **modelled throughput** — the v5 pipeline at ``agents`` boids in
+      the sim backend's virtual seconds per step (the analytic perf model
+      the simulator's clock is built from — running the emulator at this
       scale would measure Python, not the G80);
     * **conformance** — every device version (``DEVICE_VERSIONS``) run
       on both backends from the same seed at a population the emulator
-      handles quickly, reporting exactness / max abs difference.
+      handles quickly, reported as the number of bit-exact versions and
+      the max abs difference.
 
-    Wall-clock numbers vary by machine, so the whole experiment is
-    excluded from the perf-regression gate (like sec-7).
+    The native backend's wall-clock speed is measured by ``perf/``
+    (``cupp-calls`` vs ``emu-v5``, ``grid-v6``) and checked by
+    ``tests/bench/test_backend_compare.py``.
     """
-    import time as _time
-
     from repro.backend.conformance import run_suite
-    from repro.cupp.device import Device
-    from repro.gpusteer.emulated import EmulatedBoids
     from repro.gpusteer.versions import DEVICE_VERSIONS, update_time
     from repro.steer.params import DEFAULT_PARAMS
 
-    boids = EmulatedBoids(
-        agents, 5, seed=seed, device=Device(backend="native"),
-        threads_per_block=32,
-    )
-    boids.step()  # warm the kernel registry + pools before timing
-    start = _time.perf_counter()
-    for _ in range(steps):
-        boids.step()
-    native_s = (_time.perf_counter() - start) / steps
-    modelled = update_time(5, agents, DEFAULT_PARAMS)
-    sim_s = modelled.total_s
-
+    sim_s = update_time(5, agents, DEFAULT_PARAMS).total_s
     suite = [r.to_dict() for r in run_suite(
         agents=conformance_agents, steps=conformance_steps, seed=seed
     )]
-    all_ok = all(r["ok"] for r in suite)
-    all_exact = all(r["exact"] for r in suite)
+    exact = sum(r["exact"] for r in suite)
     max_diff = max(r["max_abs_diff"] for r in suite)
 
-    # Head-to-head wall clock at a population the emulator can stomach:
-    # the same v5 steps, instruction-level emulation vs vectorized numpy.
-    small = {}
-    for kind in ("sim", "native"):
-        b = EmulatedBoids(
-            conformance_agents, 5, seed=seed, device=Device(backend=kind),
-            threads_per_block=16,
-        )
-        start = _time.perf_counter()
-        for _ in range(conformance_steps):
-            b.step()
-        small[kind] = (_time.perf_counter() - start) / conformance_steps
-    emu_speedup = small["sim"] / max(small["native"], 1e-12)
-
     rows = [
-        (
-            "sim (modelled)",
-            f"{sim_s * 1e3:.3f}",
-            f"{agents / sim_s:,.0f}",
-            "perf model",
-        ),
-        (
-            "native (measured)",
-            f"{native_s * 1e3:.3f}",
-            f"{agents / native_s:,.0f}",
-            "wall clock",
-        ),
+        ("sim (modelled)", f"{sim_s * 1e3:.3f}", f"{agents / sim_s:,.0f}"),
     ]
     exp = Experiment("backend-compare", rows)
     exp.data = {
         "agents": agents,
-        "steps": steps,
         "sim_modelled_s_per_step": sim_s,
-        "native_wall_s_per_step": native_s,
-        "native_agent_steps_per_s": agents / native_s,
-        "emulator_wall_s_per_step_small": small["sim"],
-        "native_wall_s_per_step_small": small["native"],
-        "native_speedup_vs_emulator": emu_speedup,
         "conformance": {
             "versions": suite,
-            "ok": all_ok,
-            "exact": all_exact,
+            "ok": all(r["ok"] for r in suite),
+            "exact_versions": exact,
             "max_abs_diff": max_diff,
         },
     }
     exp.report = format_table(
-        f"backend compare — v5 pipeline, {agents} agents, {steps} steps",
-        ["backend", "ms/step", "agent-steps/s", "clock"],
+        f"backend compare — v5 pipeline, {agents} agents",
+        ["backend", "ms/step", "agent-steps/s"],
         rows,
         note=f"Conformance (v{DEVICE_VERSIONS[0]}-v{DEVICE_VERSIONS[-1]}, "
         f"{conformance_agents} agents, "
-        f"{conformance_steps} steps): "
-        + ("bit-exact" if all_exact else f"max |diff| {max_diff:.2e}")
-        + f" across backends; at {conformance_agents} agents the native "
-        f"backend executes the same kernels {emu_speedup:,.0f}x faster "
-        f"than instruction-level emulation.",
+        f"{conformance_steps} steps): {exact} of {len(suite)} versions "
+        f"bit-exact across backends, max |diff| {max_diff:.2e}.  Native "
+        "wall-clock speed: python -m perf (cupp-calls vs emu-v5, grid-v6).",
     )
     return exp
 

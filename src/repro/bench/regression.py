@@ -19,10 +19,9 @@ model changed).  Good-direction moves beyond tolerance are reported as
 improvements but never fail the gate; band metrics fail on any
 out-of-tolerance drift.
 
-The only experiment excluded from the gate is ``sec-7`` — it measures
-wall-clock Python overhead, which is machine noise, not model output.
-Everything else in this repo is virtual-time/modelled and exactly
-reproducible for a given seed.
+Every registered experiment is gated: each reports only modelled
+(virtual-time) or counted numbers, exactly reproducible for a given
+seed.  Wall-clock measurement lives in ``perf/``, with noise bounds.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from dataclasses import dataclass
 
 #: Snapshot schema version (bump when the flattening rules change).
 FORMAT = 1
-
-#: Experiments excluded from the gate (wall-clock measurements).
-EXCLUDED_EXPERIMENTS = ("sec-7", "backend-compare")
 
 #: Metric-name fragments that mean "smaller is better".
 _LOWER_TOKENS = (
@@ -102,22 +98,20 @@ def flatten_scalars(data: object, prefix: str = "") -> "dict[str, float]":
 
 
 def snapshot(experiments: "dict | None" = None) -> dict:
-    """Run the gated experiments and collect their scalars.
+    """Run the experiments and collect their scalars.
 
     ``experiments`` maps id -> runner (defaults to the full registry in
-    :mod:`repro.bench.__main__` minus :data:`EXCLUDED_EXPERIMENTS`).
-    The result is the JSON document ``--baseline`` writes and
-    ``--check`` compares against.
+    :mod:`repro.bench.__main__`).  The result is the JSON document
+    ``--baseline`` writes and ``--check`` compares against.
     """
     if experiments is None:
         from repro.bench.__main__ import EXPERIMENTS
 
         experiments = EXPERIMENTS
-    results: "dict[str, dict[str, float]]" = {}
-    for name, runner in experiments.items():
-        if name in EXCLUDED_EXPERIMENTS:
-            continue
-        results[name] = flatten_scalars(runner().data)
+    results = {
+        name: flatten_scalars(runner().data)
+        for name, runner in experiments.items()
+    }
     return {"format": FORMAT, "experiments": results}
 
 

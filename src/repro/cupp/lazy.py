@@ -6,7 +6,10 @@ protocol:
 * ``transform()`` / ``get_device_reference()`` upload iff the device
   copy is absent or stale, reallocating first only if its shape changed;
 * ``dirty()`` marks the host copy stale (a kernel wrote the device copy);
-* a host read downloads first iff the host copy is stale;
+* a host read, a host write or a consumption first downloads every
+  holder a kernel wrote (a row kept by the caller is fresh after a
+  ``Ref`` kernel on its nested vector); a host read then downloads iff
+  the host copy is stale;
 * a host write marks the device copy stale, and with it the device copy
   of every container holding this one (a nested vector's rows);
 * a container is bound to the first device that consumes it.
@@ -99,29 +102,46 @@ class LazyContainer:
     # host side: read and write detection
     # ------------------------------------------------------------------
     def _ensure_host(self, cause: str = "lazy-miss") -> None:
-        """Host read path: download iff the host copy is stale.
+        """Host read path: pull from stale holders, then download iff the
+        host copy is stale.
 
         ``cause`` names the ledger bucket a forced download lands in
         (batch assembly passes its own attribution).
         """
+        if self._holders:
+            self._pull_holders()
         if not self._host_valid:
-            assert self._blocks is not None, "host stale with no device data"
-            self._load_host(
-                [block.copy_to_host(cause=cause) for block in self._blocks]
-            )
-            self._host_valid = True
-            self._downloads.inc()
-            obs.counter(f"{self.metric_prefix}.downloads").inc()
+            self._download(cause)
+
+    def _download(self, cause: str = "lazy-miss") -> None:
+        assert self._blocks is not None, "host stale with no device data"
+        arrays = [block.copy_to_host(cause=cause) for block in self._blocks]
+        # Valid before loading: the rows this load writes pull their
+        # host-stale holders, and this one must not be among them.
+        self._host_valid = True
+        self._load_host(arrays)
+        self._downloads.inc()
+        obs.counter(f"{self.metric_prefix}.downloads").inc()
+
+    def _pull_holders(self) -> None:
+        """A kernel may have written this container inside a holder's
+        device copy: download every host-stale holder first."""
+        for holder in self._holders:
+            if not holder._host_valid:
+                holder._download()
 
     def _before_host_write(self, source: object = None) -> None:
         """Host write path: refresh first, then mark the device copy stale,
         and every holder's except ``source``'s (the holder whose own
         download is doing the writing)."""
+        holders = self._holders
+        if holders:
+            self._pull_holders()
         if not self._host_valid:
-            self._ensure_host()
+            self._download()
         if self._device_valid:
             self._invalidate_device()
-        if self._holders:
+        if holders:
             self._invalidate_holders(source)
 
     def _invalidate_device(self) -> None:
@@ -143,6 +163,10 @@ class LazyContainer:
         """Upload iff the device copy is absent or stale; returns the
         blocks.  ``account=False`` leaves the counters and instants to the
         composite container this one is a part of."""
+        if self._holders:
+            # A holder's download invalidates this device copy if a
+            # kernel wrote this container through the holder.
+            self._pull_holders()
         blocks = self._blocks
         if blocks is not None and blocks[0].device is not device:
             raise CuppUsageError(
@@ -161,7 +185,7 @@ class LazyContainer:
                     self._instant(self.lazy_hit_instant)
             return blocks
         if not self._host_valid:
-            self._ensure_host()
+            self._download()
         arrays = self._host_arrays()
         cause = self.upload_cause
         if blocks is None or any(

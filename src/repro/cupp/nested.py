@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.cupp.device import Device
+from repro.cupp.device_reference import DeviceReference
 from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.lazy import LazyContainer
 from repro.cupp.vector import Vector
@@ -80,7 +81,9 @@ class NestedVector(LazyContainer):
 
     A row knows the nested vectors holding it: a host write to the row,
     or a kernel writing it through ``Ref``, marks their device copies
-    stale, however the row was reached.
+    stale, however the row was reached; a ``Ref`` kernel on one of them
+    marks the others stale, and the row downloads it before its next
+    read, write or upload.
     """
 
     host_type: type = None
@@ -160,6 +163,13 @@ class NestedVector(LazyContainer):
             # re-upload: its device copy is where the data came from.
             row._before_host_write(source=self)
             row._store[: stop - start] = flat[start:stop]
+
+    def dirty(self, device_ref: DeviceReference) -> None:
+        """The kernel may have written any row, so every other holder of
+        a row now has a stale device copy too."""
+        LazyContainer.dirty(self, device_ref)
+        for row in self._rows:
+            row._invalidate_holders(source=self)
 
     def transform(self, device: Device) -> DeviceNestedVector:
         offsets, values = self._ensure_device(device)

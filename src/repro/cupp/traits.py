@@ -21,7 +21,9 @@ introspection.  Reference parameters are declared with the :class:`Ref` /
 Analysis happens once, when the :class:`~repro.cupp.kernel.Kernel` functor
 is constructed — CuPP's analog of paying at compile time.  (The paper
 measures that price: compiling the Boids scenario went from 3.1 s to
-7.3 s; our §7 benchmark measures this function.)
+7.3 s.)  Each analysis bumps the ``cupp.traits.analyses`` counter, so the
+§7 experiment can count that it runs once per construction and never per
+call.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import obs
 from repro.cupp.exceptions import CuppTraitError
 from repro.cupp.typetransform import device_type_of, validate_binding
 
@@ -103,6 +106,7 @@ def analyze_kernel(fn: Callable) -> KernelTraits:
     the first parameter must be the thread context and is not a kernel
     parameter.
     """
+    obs.counter("cupp.traits.analyses").inc()
     impl = getattr(fn, "impl", fn)
     sig = inspect.signature(impl)
     names = list(sig.parameters)

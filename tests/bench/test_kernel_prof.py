@@ -1,9 +1,15 @@
-"""The kernel-prof bench experiment: registered, gated, and validated."""
+"""The kernel-prof bench experiment: its story, validated and gated."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.bench.__main__ import EXPERIMENTS
-from repro.bench.regression import EXCLUDED_EXPERIMENTS, flatten_scalars
+from repro.bench.regression import flatten_scalars, load_snapshot
+
+BASELINE_PATH = str(
+    Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +24,7 @@ class TestKernelProf:
         assert "kernel-prof" in EXPERIMENTS
         # Fully deterministic (emulated counters + analytic model), so
         # it belongs inside the perf-regression gate.
-        assert "kernel-prof" not in EXCLUDED_EXPERIMENTS
+        assert "kernel-prof" in load_snapshot(BASELINE_PATH)["experiments"]
 
     def test_v1_vs_v5_story(self, experiment):
         data = experiment.data

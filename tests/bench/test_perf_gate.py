@@ -5,7 +5,6 @@ import json
 from pathlib import Path
 
 from repro.bench.regression import (
-    EXCLUDED_EXPERIMENTS,
     compare,
     direction_of,
     flatten_scalars,
@@ -142,10 +141,36 @@ class TestCommittedBaseline:
             for d in failing
         )
 
+    def test_lowered_const_elision_trips_the_gate(self):
+        # A broken const-reference elision (§4.3.2) must not pass as an
+        # "improvement": the elided count and bytes are band metrics.
+        sec_7 = load_snapshot(BASELINE_PATH)["experiments"]["sec-7"]
+        for metric in ("step.native.elided_writebacks",
+                       "step.native.copy_back_skipped_const"):
+            lowered = dict(sec_7, **{metric: sec_7[metric] - 1})
+            deltas = compare(_snap(**{"sec-7": sec_7}),
+                             _snap(**{"sec-7": lowered}), 0.0)
+            assert [(d.metric, d.verdict) for d in deltas] == [
+                (metric, "regression")
+            ]
+
     def test_excluded_experiments_never_snapshotted(self):
+        # snapshot() excludes no experiment: ids that once measured the
+        # wall clock are snapshotted like every other.
+        from types import SimpleNamespace
+
+        runners = {
+            name: (lambda: SimpleNamespace(data={"n": 1}))
+            for name in ("sec-7", "backend-compare", "fig-6.2")
+        }
+        excluded = set(runners) - set(snapshot(runners)["experiments"])
+        assert excluded == set()
+
+    def test_every_registered_experiment_is_gated(self):
+        from repro.bench.__main__ import EXPERIMENTS
+
         baseline = load_snapshot(BASELINE_PATH)
-        for name in EXCLUDED_EXPERIMENTS:
-            assert name not in baseline["experiments"]
+        assert set(EXPERIMENTS) <= set(baseline["experiments"])
 
     def test_snapshot_round_trips_to_disk(self, tmp_path):
         snap = _snap(e={"p99_ms": 1.25})

@@ -4,6 +4,7 @@ listing 4.2/4.3 example, call semantics, and const-ref elision."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cuda import CudaMachine, global_
 from repro.cupp import (
     Boxed,
@@ -65,6 +66,16 @@ class TestConstruction:
         j = Boxed(0)
         f(dev, 10, j)
         assert j.value == 5
+
+    def test_analysis_is_paid_once_at_construction(self, dev):
+        # §4.3.2 "compile time": one analysis per Kernel, none per call.
+        analyses = obs.counter("cupp.traits.analyses")
+        before = analyses.value
+        f = Kernel(half_kernel, 1, 1)
+        assert analyses.value - before == 1
+        f(dev, 10, Boxed(0))
+        f(dev, 12, Boxed(0))
+        assert analyses.value - before == 1
 
     def test_arity_checked(self, dev):
         f = Kernel(half_kernel, 1, 1)

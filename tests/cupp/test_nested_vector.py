@@ -182,6 +182,38 @@ class TestNoStaleRows:
         assert self._sum(dev, nv) == 2.0
         assert nv.uploads == 1
 
+    def test_row_kept_across_a_ref_kernel_reads_fresh(self, dev):
+        nv = NestedVector([[1.0, 1.0], [1.0]])
+        row = nv[1]
+        Kernel(scale_rows, 1, 2)(dev, nv)
+        assert row[0] == 2.0
+        assert nv[1][0] == 2.0
+
+    def test_write_to_a_row_kept_across_a_ref_kernel_is_kept(self, dev):
+        nv = NestedVector([[1.0, 1.0], [1.0]])
+        row = nv[1]
+        Kernel(scale_rows, 1, 2)(dev, nv)
+        row[0] = 7.0
+        assert nv.to_lists() == [[1.0, 1.0], [7.0]]
+
+    def test_row_kept_across_a_ref_kernel_uploads_fresh(self, dev):
+        nv = NestedVector([[1.0, 1.0], [1.0]])
+        row = nv[1]
+        Kernel(double_all, 1, 1)(dev, row)  # row's own device copy
+        Kernel(scale_rows, 1, 2)(dev, nv)
+        Kernel(double_all, 1, 1)(dev, row)
+        assert row[0] == 8.0
+
+    def test_ref_kernel_on_one_holder_reaches_another(self, dev):
+        row = Vector([1.0])
+        first, second = NestedVector([[5.0]]), NestedVector()
+        first.push_back(row)  # row 1: the kernel doubles it
+        second.push_back(row)
+        self._sum(dev, first)
+        assert self._sum(dev, second) == 1.0
+        Kernel(scale_rows, 1, 2)(dev, first)
+        assert self._sum(dev, second) == 2.0
+
     def test_sizes_of_a_host_stale_nested_vector_download_nothing(self, dev):
         nv = NestedVector([[1.0, 1.0], [1.0]])
         Kernel(scale_rows, 1, 2)(dev, nv)

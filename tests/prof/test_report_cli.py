@@ -106,6 +106,14 @@ class TestCli:
         assert "simulate_v4" in payload["kernels"]
         assert "repro.prof — v5" in capsys.readouterr().out
 
+    def test_v1_json_is_memory_bound_and_uncoalesced(self, tmp_path, capsys):
+        out = tmp_path / "v1.json"
+        assert main(["v1", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        kernel = payload["kernels"]["find_neighbors_v1"]
+        assert kernel["uncoalesced_read_transactions"] > 0
+        assert payload["roofline"]["find_neighbors_v1"]["bound"] == "memory"
+
     def test_diff_two_targets(self, tmp_path, capsys):
         out = tmp_path / "diff.json"
         code = main(["--diff", "v4", "v5", "--agents", "32",

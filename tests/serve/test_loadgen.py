@@ -131,17 +131,25 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["completed"] > 0
 
-    def test_compare_mode_reports_both(self, capsys):
+    def test_compare_mode_reports_both(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
         code = main(
             [
                 "--clients", "4", "--duration", "0.02", "--rate", "2000",
                 "--agents", "32", "--devices", "1", "--compare",
+                "--json", str(out),
             ]
         )
         assert code == 0
         text = capsys.readouterr().out
         assert "batching on" in text and "batching OFF" in text
         assert "batching vs no-batching" in text
+        report = json.loads(out.read_text())
+        slo = report["batching"]
+        for key in ("p50_ms", "p95_ms", "p99_ms", "throughput_rps"):
+            assert slo[key] > 0, key
+        assert slo["p50_ms"] <= slo["p95_ms"] <= slo["p99_ms"]
+        assert slo["launches"] < report["no_batching"]["launches"]
 
     def test_trace_output_is_valid_json(self, tmp_path, capsys):
         code = main(
@@ -154,12 +162,16 @@ class TestCli:
         assert code == 0
         trace = json.loads((tmp_path / "serve-loadgen.trace.json").read_text())
         assert trace["traceEvents"]
+        assert "serve.batch" in {e["name"] for e in trace["traceEvents"]}
         metrics = json.loads(
             (tmp_path / "serve-loadgen.metrics.json").read_text()
         )
         counters = metrics["metrics"]["counters"]
         assert counters["repro.serve.launches"] > 0
-        assert metrics["transfer_ledger"]["bytes_by_cause"]["batch-concat"] > 0
+        assert counters["repro.serve.batches"] > 0
+        ledger = metrics["transfer_ledger"]["bytes_by_cause"]
+        assert ledger["batch-concat"] > 0
+        assert ledger["batch-split"] > 0
 
     def test_cli_chaos_flag_runs_clean(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
