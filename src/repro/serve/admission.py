@@ -153,8 +153,15 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def drop_expired(self, now: float) -> "list[StepRequest]":
-        """Remove queued requests whose deadline has passed."""
-        expired = [r for r in self.queue if r.expired(now)]
+        """Remove queued requests whose deadline has passed.
+
+        One pass partitions the queue; the deque is left untouched when
+        nothing expired.
+        """
+        survivors: "list[StepRequest]" = []
+        expired: "list[StepRequest]" = []
+        for request in self.queue:
+            (expired if request.expired(now) else survivors).append(request)
         if expired:
             for request in expired:
                 request.status = RequestStatus.EXPIRED
@@ -163,7 +170,6 @@ class AdmissionController:
                     "serve.deadline-miss",
                     **self._request_args(request, where="dequeue"),
                 )
-            survivors = [r for r in self.queue if not r.expired(now)]
             self.queue.clear()
             self.queue.extend(survivors)
             self._note_depth()

@@ -62,60 +62,56 @@ class DynamicBatcher:
         self._next_id = 0
 
     # ------------------------------------------------------------------
-    def _eligible(
-        self, queue, busy: "set[str]", placeable=None
+    def eligible(
+        self, queue, busy: "set[str]", placeable=None, seen=None
     ) -> "list[StepRequest]":
         """Queued requests launchable now: first per session, none busy.
 
         ``placeable`` is an optional per-request predicate the scheduler
         supplies for device affinity — e.g. "this session's resident
         device is free".  Requests that fail it stay queued untouched.
+        ``seen``, when given, is filled with every queued session that
+        is not busy, placeable or not: a later arrival from one of them
+        is never a session head.
         """
-        seen: "set[str]" = set()
+        seen = set() if seen is None else seen
         out = []
         for request in queue:
-            if request.session_id in busy or request.session_id in seen:
+            sid = request.session_id
+            if sid in busy or sid in seen:
                 continue
-            if placeable is not None and not placeable(request):
-                continue
-            seen.add(request.session_id)
-            out.append(request)
+            seen.add(sid)
+            if placeable is None or placeable(request):
+                out.append(request)
         return out
 
     def ready_time(
-        self, queue, busy: "set[str]", now: float, placeable=None
-    ) -> "float | None":
-        """Earliest virtual time the current queue justifies a launch.
+        self, heads: int, oldest_admit_s: float, retry: bool, now: float
+    ) -> float:
+        """Earliest virtual time ``heads`` (at least one) eligible
+        requests justify a launch.
 
-        ``None`` when nothing is eligible (empty queue, or every queued
-        session already has a step in flight).  Otherwise ``now`` if the
-        size trigger is met, else the oldest eligible admission plus the
-        window.
+        ``now`` if the size trigger is met, else the oldest eligible
+        admission plus the window.  The caller counts the heads once
+        (:meth:`eligible`) and keeps the three facts as long as the
+        queue does not change under them.
         """
-        eligible = self._eligible(queue, busy, placeable)
-        if not eligible:
-            return None
-        if len(eligible) >= self.max_batch:
+        if heads >= self.max_batch:
             return now
         # A retried request already paid its window (and a fault) on an
         # earlier attempt — it rides the next launch immediately rather
         # than aging a second time.
-        if any(r.attempts for r in eligible):
+        if retry:
             return now
-        return max(now, eligible[0].admit_s + self.window_s)
+        return max(now, oldest_admit_s + self.window_s)
 
-    def take(
-        self, queue, busy: "set[str]", now: float, placeable=None
-    ) -> "Batch | None":
-        """Form a batch at time ``now`` (up to ``max_batch``, FIFO).
+    def take(self, eligible: "list[StepRequest]", now: float) -> Batch:
+        """Form a batch at time ``now`` from the :meth:`eligible`
+        requests (up to ``max_batch``, FIFO).
 
-        Returns ``None`` when no eligible request is ready.  The caller
-        removes the batch's requests from the queue and marks their
-        sessions in flight.
+        The caller removes the batch's requests from the queue and
+        marks their sessions in flight.
         """
-        eligible = self._eligible(queue, busy, placeable)
-        if not eligible:
-            return None
         picked = eligible[: self.max_batch]
         batch = Batch(self._next_id, picked, formed_s=now)
         self._next_id += 1

@@ -10,12 +10,29 @@ driver (the load generator, a test, the demo) injects arrivals with
 :meth:`advance`/:meth:`drain`.  Identical inputs give identical
 latencies, byte counts, and launch totals, run to run.
 
-Two event types exist:
+Six event types exist, kept in a two-part event calendar:
 
-* **launch-ready** — the batcher's window/size rule says a batch should
-  form *and* a device is free to take it;
 * **sub-batch completion** — a device's kernels finish; its results are
-  fetched, demultiplexed, and the sessions become schedulable again.
+  fetched, demultiplexed, and the sessions become schedulable again;
+* **watchdog timeout** — a sub-batch missed its predicted finish plus
+  slack (an injected hang); its device is evicted;
+* **zombie reap** — a timed-out sub-batch's late completion;
+* **retry wake** — a faulted request's backoff elapses;
+* **health probe** — evicted devices are checked for readmission;
+* **launch-ready** — the batcher's window/size rule says a batch should
+  form *and* a device is free to take it.
+
+The first five are the calendar's *timed* part.  Only an event creates
+or retires them, so it is recomputed at the end of each event.  The
+*launch-ready* part holds three facts about the admission queue: the
+count of eligible session heads, the oldest head's admit time, and
+whether any head is a retry.  Each event counts them in its last launch
+pass; between events :meth:`SimulationService.submit` updates them in
+O(1), and the two queue changes that are not one append (a
+``shed-oldest`` eviction, :meth:`~SimulationService.drain`'s last-resort
+sweep) recount.  The window/size rule reads the window live, so an SLO
+alert that shrinks it needs no recount.  An arrival that brings no event
+due therefore queries no device and walks no queue.
 
 The host is one thread, as in the paper: dispatch work (batch assembly,
 launches, memcpys) serializes on the global clock, while kernels run
@@ -215,6 +232,18 @@ class SimulationService:
         #: by their device timeline; reaped without touching sessions.
         self._zombies: "list[SubBatch]" = []
         self._next_probe_s: "float | None" = None
+        #: The event calendar's timed part: the earliest completion,
+        #: watchdog, zombie reap, retry wake, or probe.
+        self._timed_next: "float | None" = None
+        #: Its launch-ready part: how many session heads are eligible,
+        #: the oldest one's admit time, and whether any is a retry —
+        #: counted over the free devices and queued sessions below.
+        self._heads = 0
+        self._oldest_head_s = 0.0
+        self._head_retry = False
+        self._free: "set[int]" = set()
+        self._queued_sessions: "set[str]" = set()
+        self._count_heads()
 
     # ------------------------------------------------------------------
     # client API
@@ -358,7 +387,12 @@ class SimulationService:
         self.stats.submitted += 1
         for o in self.observers:
             o.request_submitted(request, self.now)
-        self.admission.submit(request, self.now)
+        depth = self.admission.depth
+        if self.admission.submit(request, self.now) is RequestStatus.QUEUED:
+            if self.admission.depth > depth:
+                self._add_head(request)
+            else:  # shed-oldest evicted a queued request for this one
+                self._count_heads()
         for o in self.observers:
             o.request_offered(request, self.admission.depth, self.now)
             o.tick(self.now)
@@ -367,18 +401,55 @@ class SimulationService:
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
-    def _placeable(self, free_set: "set[int]"):
-        """Device-affinity predicate for the batcher: cold sessions can
-        go anywhere free; warm sessions need their resident device."""
+    def _fits(self, request: StepRequest) -> bool:
+        """Device affinity: cold sessions can go to any free device, warm
+        sessions need their resident one (free as of the last count)."""
+        session = self.store.get(request.session_id)
+        return session.resident_on is None or session.resident_on in self._free
 
-        def ok(request: StepRequest) -> bool:
-            session = self.store.get(request.session_id)
-            return session.resident_on is None or session.resident_on in free_set
+    def _count_heads(self) -> "tuple[list[int], list[StepRequest]]":
+        """Rebuild the calendar's launch-ready part in one queue pass;
+        returns the free devices and the eligible requests it counted."""
+        free = self.scheduler.free_devices()
+        self._free = set(free)
+        self._queued_sessions = set()
+        eligible = (
+            self.batcher.eligible(
+                self.admission.queue,
+                self._busy_sessions,
+                self._fits,
+                seen=self._queued_sessions,
+            )
+            if free
+            else []
+        )
+        self._heads = len(eligible)
+        if eligible:
+            self._oldest_head_s = eligible[0].admit_s
+            self._head_retry = any(r.attempts for r in eligible)
+        return free, eligible
 
-        return ok
+    def _add_head(self, request: StepRequest) -> None:
+        """Update the launch-ready part for one request appended to the
+        queue: it is a new eligible head unless its session is already
+        queued or busy, or it does not fit a free device."""
+        sid = request.session_id
+        if (
+            not self._free
+            or sid in self._busy_sessions
+            or sid in self._queued_sessions
+        ):
+            return
+        self._queued_sessions.add(sid)
+        if self._fits(request):
+            self._heads += 1
+            if self._heads == 1:
+                # Arrivals are fresh requests: only an event re-queues
+                # a retry, and every event recounts.
+                self._oldest_head_s, self._head_retry = request.admit_s, False
 
-    def _next_event_time(self) -> "float | None":
-        """Earliest pending event, or ``None`` when the service is idle."""
+    def _next_timed_event(self) -> "float | None":
+        """Earliest completion, watchdog, reap, retry wake, or probe."""
         times = []
         for sub in self._in_flight:
             t = sub.completion_s
@@ -390,17 +461,18 @@ class SimulationService:
             times.append(min(wake for wake, _, _ in self._retry_parked))
         if self.scheduler.unhealthy and self._next_probe_s is not None:
             times.append(self._next_probe_s)
-        free = self.scheduler.free_devices()
-        if free:
-            ready = self.batcher.ready_time(
-                self.admission.queue,
-                self._busy_sessions,
-                self.now,
-                placeable=self._placeable(set(free)),
-            )
-            if ready is not None:
-                times.append(ready)
         return min(times) if times else None
+
+    def _next_event_time(self) -> "float | None":
+        """Earliest calendar entry, or ``None`` when the service is idle."""
+        t = self._timed_next
+        if self._heads:
+            ready = self.batcher.ready_time(
+                self._heads, self._oldest_head_s, self._head_retry, self.now
+            )
+            if t is None or ready < t:
+                t = ready
+        return t
 
     def advance(self, until: float) -> None:
         """Process every event up to virtual time ``until``."""
@@ -422,6 +494,7 @@ class SimulationService:
                     # to free it — expire what has deadlines, drop ties.
                     self.admission.drop_expired(float("inf"))
                     self.admission.on_slots_freed(self.now)
+                    self._count_heads()
                     if self._next_event_time() is None:
                         break
                     continue
@@ -453,6 +526,7 @@ class SimulationService:
         self._launch_ready()
         for o in self.observers:
             o.tick(self.now)
+        self._timed_next = self._next_timed_event()
 
     # ------------------------------------------------------------------
     # fault recovery (all no-ops on fault-free runs)
@@ -605,18 +679,17 @@ class SimulationService:
     def _launch_ready(self) -> None:
         """Form and launch batches as long as the rule and devices allow."""
         while True:
-            free = self.scheduler.free_devices()
-            if not free:
+            # The last pass, which launches nothing, leaves the
+            # calendar's launch-ready part counted for the next event.
+            free, eligible = self._count_heads()
+            if not eligible:
                 return
-            placeable = self._placeable(set(free))
             ready = self.batcher.ready_time(
-                self.admission.queue, self._busy_sessions, self.now, placeable
+                self._heads, self._oldest_head_s, self._head_retry, self.now
             )
-            if ready is None or ready > self.now + _EPS:
+            if ready > self.now + _EPS:
                 return
-            batch = self.batcher.take(
-                self.admission.queue, self._busy_sessions, self.now, placeable
-            )
+            batch = self.batcher.take(eligible, self.now)
             self.admission.remove(batch.requests)
             self.admission.on_slots_freed(self.now)
             self.stats.batches += 1

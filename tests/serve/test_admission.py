@@ -1,5 +1,7 @@
 """Admission control: bounded queue + backpressure policies."""
 
+from collections import deque
+
 import pytest
 
 from repro import obs
@@ -111,6 +113,34 @@ class TestDeadlines:
         assert dropped == [late]
         assert late.status is RequestStatus.EXPIRED
         assert list(ac.queue) == [fine]
+
+    def test_drop_expired_checks_each_request_once(self, monkeypatch):
+        ac = AdmissionController(4)
+        late = req("late", deadline=1.0)
+        fine = req("fine", deadline=5.0)
+        ac.submit(late, 0.0)
+        ac.submit(fine, 0.0)
+        checked = []
+        expired = StepRequest.expired
+        monkeypatch.setattr(
+            StepRequest,
+            "expired",
+            lambda self, now: checked.append(self) or expired(self, now),
+        )
+        ac.drop_expired(2.0)
+        assert checked == [late, fine]
+
+    def test_drop_expired_leaves_the_queue_alone_when_nothing_expired(self):
+        class Untouchable(deque):
+            def clear(self):
+                raise AssertionError("the queue was rewritten")
+
+        ac = AdmissionController(4)
+        ac.submit(req("a", deadline=5.0), 0.0)
+        ac.submit(req("b"), 0.0)
+        ac.queue = Untouchable(ac.queue)
+        assert ac.drop_expired(2.0) == []
+        assert [r.session_id for r in ac.queue] == ["a", "b"]
 
 
 class TestMetrics:
