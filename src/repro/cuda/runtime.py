@@ -51,6 +51,39 @@ from repro.simgpu.memory import (
 )
 from repro.simgpu.warp import KernelFault
 
+_TRACER = obs.get_tracer()
+
+# Every series this module publishes, bound once: a name and its labels
+# are fixed at each call site.
+_MALLOC_COUNT = obs.bind_counter("cuda.malloc.count")
+_MALLOC_BYTES = obs.bind_counter("cuda.malloc.bytes")
+_FREE_COUNT = obs.bind_counter("cuda.free.count")
+_LAUNCHES = obs.bind_counter("cuda.launches")
+_STREAM_LAUNCHES = obs.bind_counter("cuda.stream.launches")
+_STREAMS_CREATED = obs.bind_counter("cuda.stream.created")
+_STREAMS_DESTROYED = obs.bind_counter("cuda.stream.destroyed")
+_STREAM_WAITS = obs.bind_counter("cuda.stream.waits")
+_EVENTS_CREATED = obs.bind_counter("cuda.event.created")
+_EVENT_RECORDS = obs.bind_counter("cuda.event.records")
+
+
+def _copy_series(family: str, kind: str) -> "tuple[obs.Counter, obs.Counter]":
+    """The bound ``<family>.count`` / ``<family>.bytes`` pair of one kind."""
+    return (
+        obs.bind_counter(f"{family}.count", kind=kind),
+        obs.bind_counter(f"{family}.bytes", kind=kind),
+    )
+
+
+_MEMCPY_SERIES = {
+    kind: _copy_series("cuda.memcpy", kind.name) for kind in cudaMemcpyKind
+}
+_TO_SYMBOL_SERIES = _copy_series("cuda.memcpy", "toSymbol")
+_STREAM_MEMCPY_SERIES = {
+    kind: _copy_series("cuda.stream.memcpy", kind.name)
+    for kind in cudaMemcpyKind
+}
+
 
 def _make_backend_device(kind: str, arch: ArchSpec) -> ExecutionBackend:
     if kind == "native":
@@ -212,7 +245,8 @@ class CudaRuntime(GlInteropMixin):
     # Memory management (§3.2.3)
     # ------------------------------------------------------------------
     def cudaMalloc(self, count: int) -> tuple[cudaError, DevicePtr | None]:  # noqa: N802
-        injector = self.device.fault_injector
+        device = self.device
+        injector = device.fault_injector
         if injector is not None and (
             injector.draw(
                 "alloc", device_index=self._bind_default(), nbytes=count
@@ -223,14 +257,15 @@ class CudaRuntime(GlInteropMixin):
             # is available; the caller's retry path decides what happens.
             return cudaError.cudaErrorMemoryAllocation, None
         try:
-            ptr = self.device.memory.alloc(count)
+            ptr = device.memory.alloc(count)
         except OutOfDeviceMemory:
             return cudaError.cudaErrorMemoryAllocation, None
         except DeviceMemoryError:
             return cudaError.cudaErrorInvalidValue, None
-        obs.counter("cuda.malloc.count").inc()
-        obs.counter("cuda.malloc.bytes").inc(int(count))
-        obs.instant("cuda.malloc", nbytes=count, addr=ptr.addr)
+        _MALLOC_COUNT.inc()
+        _MALLOC_BYTES.inc(int(count))
+        if _TRACER.enabled:
+            _TRACER.instant("cuda.malloc", nbytes=count, addr=ptr.addr)
         return cudaError.cudaSuccess, ptr
 
     def cudaFree(self, ptr: DevicePtr) -> cudaError:  # noqa: N802
@@ -238,8 +273,9 @@ class CudaRuntime(GlInteropMixin):
             self.device.memory.free(ptr)
         except InvalidFree:
             return cudaError.cudaErrorInvalidDevicePointer
-        obs.counter("cuda.free.count").inc()
-        obs.instant("cuda.free", addr=ptr.addr)
+        _FREE_COUNT.inc()
+        if _TRACER.enabled:
+            _TRACER.instant("cuda.free", addr=ptr.addr)
         return cudaError.cudaSuccess
 
     def cudaMemcpy(  # noqa: N802
@@ -253,8 +289,9 @@ class CudaRuntime(GlInteropMixin):
         error = _memcpy_args_error(dst, src, count, kind)
         if error is not None:
             return error
-        mem = self.device.memory
-        injector = self.device.fault_injector
+        device = self.device
+        mem = device.memory
+        injector = device.fault_injector
         if (
             injector is not None
             and kind is not cudaMemcpyKind.cudaMemcpyHostToHost
@@ -265,12 +302,14 @@ class CudaRuntime(GlInteropMixin):
         ):
             # Uncorrectable ECC error: the bytes cross the bus (the time
             # is charged) but arrive poisoned, so nothing is copied.
-            self.device.timeline.memcpy(count)
+            device.timeline.memcpy(count)
             return cudaError.cudaErrorECCUncorrectable
         self.memcpy_count += 1
-        obs.counter("cuda.memcpy.count", kind=kind.name).inc()
-        obs.counter("cuda.memcpy.bytes", kind=kind.name).inc(count)
-        obs.instant("cuda.memcpy", kind=kind.name, nbytes=count)
+        copies, copied_bytes = _MEMCPY_SERIES[kind]
+        copies.inc()
+        copied_bytes.inc(count)
+        if _TRACER.enabled:
+            _TRACER.instant("cuda.memcpy", kind=kind.name, nbytes=count)
         try:
             if kind is cudaMemcpyKind.cudaMemcpyHostToHost:
                 raw = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
@@ -280,15 +319,15 @@ class CudaRuntime(GlInteropMixin):
                 # Device-to-device copies never touch the PCIe bus: they
                 # run at device-memory bandwidth (read + write the bytes)
                 # after the implicit synchronization.
-                tl = self.device.timeline
+                tl = device.timeline
                 tl.synchronize()
                 tl.host_work(
-                    2 * count / self.device.arch.memory_bandwidth_bytes_per_s
+                    2 * count / device.arch.memory_bandwidth_bytes_per_s
                 )
                 tl.device_busy_until = tl.host_time
                 mem.copy_device_to_device(dst, src, count)
                 return cudaError.cudaSuccess
-            self.device.timeline.memcpy(count)
+            device.timeline.memcpy(count)
             if kind is cudaMemcpyKind.cudaMemcpyHostToDevice:
                 raw = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
                 mem.copy_in(dst, raw[:count])
@@ -320,7 +359,7 @@ class CudaRuntime(GlInteropMixin):
         """Create an in-order work queue on the bound device."""
         dev = self._bind_default()
         stream = cudaStream_t(dev, self.device.timeline.create_stream())
-        obs.counter("cuda.stream.created").inc()
+        _STREAMS_CREATED.inc()
         return cudaError.cudaSuccess, stream
 
     def cudaStreamDestroy(self, stream: cudaStream_t) -> cudaError:  # noqa: N802
@@ -330,13 +369,13 @@ class CudaRuntime(GlInteropMixin):
         tl = self.device.timeline
         tl.stream_synchronize(stream.sim)
         tl.destroy_stream(stream.sim)
-        obs.counter("cuda.stream.destroyed").inc()
+        _STREAMS_DESTROYED.inc()
         return cudaError.cudaSuccess
 
     def cudaEventCreate(self) -> tuple[cudaError, cudaEvent_t | None]:  # noqa: N802
         dev = self._bind_default()
         event = cudaEvent_t(dev, self.device.timeline.create_event())
-        obs.counter("cuda.event.created").inc()
+        _EVENTS_CREATED.inc()
         return cudaError.cudaSuccess, event
 
     def cudaEventDestroy(self, event: cudaEvent_t) -> cudaError:  # noqa: N802
@@ -357,7 +396,7 @@ class CudaRuntime(GlInteropMixin):
         self.device.timeline.record_event(
             event.sim, None if stream is None else stream.sim
         )
-        obs.counter("cuda.event.records").inc()
+        _EVENT_RECORDS.inc()
         return cudaError.cudaSuccess
 
     def cudaStreamWaitEvent(  # noqa: N802
@@ -368,7 +407,7 @@ class CudaRuntime(GlInteropMixin):
         if not self._stream_ok(stream) or not self._event_ok(event):
             return cudaError.cudaErrorInvalidResourceHandle
         self.device.timeline.stream_wait_event(stream.sim, event.sim)
-        obs.counter("cuda.stream.waits").inc()
+        _STREAM_WAITS.inc()
         obs.record_transfer(
             "stream-wait",
             "none",
@@ -443,20 +482,22 @@ class CudaRuntime(GlInteropMixin):
             return cudaError.cudaErrorECCUncorrectable
         op = tl.stream_memcpy(stream.sim, count)
         self.memcpy_count += 1
-        obs.counter("cuda.stream.memcpy.count", kind=kind.name).inc()
-        obs.counter("cuda.stream.memcpy.bytes", kind=kind.name).inc(count)
+        copies, copied_bytes = _STREAM_MEMCPY_SERIES[kind]
+        copies.inc()
+        copied_bytes.inc(count)
         obs.record_transfer(
             f"async-{direction}",
             direction,
             count,
             label=f"stream{stream.stream_id}",
         )
-        obs.instant(
-            "cuda.memcpyAsync",
-            kind=kind.name,
-            nbytes=count,
-            stream=stream.stream_id,
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "cuda.memcpyAsync",
+                kind=kind.name,
+                nbytes=count,
+                stream=stream.stream_id,
+            )
         mem = self.device.memory
         try:
             # The sim applies the payload eagerly; only the *time* is
@@ -495,9 +536,11 @@ class CudaRuntime(GlInteropMixin):
         if raw.nbytes > symbol.count * symbol.dtype.itemsize:
             return cudaError.cudaErrorInvalidValue
         self.memcpy_count += 1
-        obs.counter("cuda.memcpy.count", kind="toSymbol").inc()
-        obs.counter("cuda.memcpy.bytes", kind="toSymbol").inc(raw.nbytes)
-        obs.instant("cuda.memcpyToSymbol", nbytes=raw.nbytes)
+        copies, copied_bytes = _TO_SYMBOL_SERIES
+        copies.inc()
+        copied_bytes.inc(raw.nbytes)
+        if _TRACER.enabled:
+            _TRACER.instant("cuda.memcpyToSymbol", nbytes=raw.nbytes)
         self.device.timeline.memcpy(raw.nbytes)
         symbol.memory.write(symbol.offset, raw)
         return cudaError.cudaSuccess
@@ -584,10 +627,15 @@ class CudaRuntime(GlInteropMixin):
             val for _off, _sz, val in sorted(pending.args, key=lambda a: a[0])
         )
         name = getattr(kernel, "__name__", "kernel")
-        with obs.span(
-            f"cuda.launch:{name}",
-            grid=str(pending.grid_dim),
-            block=str(pending.block_dim),
+        tracing = _TRACER.enabled
+        with (
+            _TRACER.span(
+                f"cuda.launch:{name}",
+                grid=str(pending.grid_dim),
+                block=str(pending.block_dim),
+            )
+            if tracing
+            else obs.NULL_SPAN
         ) as span:
             injector = self.device.fault_injector
             if injector is not None:
@@ -630,7 +678,7 @@ class CudaRuntime(GlInteropMixin):
                 return cudaError.cudaErrorLaunchFailure
             self.last_launch = result
             self.launch_count += 1
-            obs.counter("cuda.launches").inc()
+            _LAUNCHES.inc()
             # Asynchronous semantics: the host is only charged the launch
             # overhead; the device timeline advances by the backend's
             # duration — the analytic model on the simulator, measured
@@ -640,25 +688,27 @@ class CudaRuntime(GlInteropMixin):
             )
             if stream is not None:
                 op = self.device.timeline.stream_launch(stream.sim, duration)
-                obs.counter("cuda.stream.launches").inc()
-                span.set(
-                    stream=stream.stream_id,
-                    track=op.track,
-                    sched_start_s=op.start_s,
-                    sched_end_s=op.end_s,
-                )
+                _STREAM_LAUNCHES.inc()
+                if tracing:
+                    span.set(
+                        stream=stream.stream_id,
+                        track=op.track,
+                        sched_start_s=op.start_s,
+                        sched_end_s=op.end_s,
+                    )
             else:
                 self.device.timeline.launch_kernel(duration)
             # The emulator's instruction profile rides on the launch span
             # so a trace alone can answer "what did this launch do?"
             # (vectorized native launches have no instruction stream).
-            profile = getattr(result, "profile", None)
-            span.set(
-                profile=profile.summary() if profile is not None else None,
-                backend=self.device.backend_kind,
-                modelled_duration_s=duration,
-                occupancy=getattr(result.occupancy, "occupancy", None),
-            )
+            if tracing:
+                profile = getattr(result, "profile", None)
+                span.set(
+                    profile=profile.summary() if profile is not None else None,
+                    backend=self.device.backend_kind,
+                    modelled_duration_s=duration,
+                    occupancy=getattr(result.occupancy, "occupancy", None),
+                )
             # Kernel profiler capture: one module-global read when no
             # session is attached, so profiling-off stays inert.
             prof = prof_hook.active()

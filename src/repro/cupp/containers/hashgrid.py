@@ -44,6 +44,8 @@ from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.lazy import HostBuiltContainer
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
+_BUILDS = obs.bind_counter("cupp.containers.builds")
+
 #: Bits per axis in a packed cell key (3 x 21 = 63 < 64).
 CELL_KEY_BITS = 21
 
@@ -217,7 +219,7 @@ class HashGrid(HostBuiltContainer):
             unique_keys, np.arange(unique_keys.size, dtype=np.int32)
         )
         self._before_host_write()
-        obs.counter("cupp.containers.builds").inc()
+        _BUILDS.inc()
         tracer = obs.get_tracer()
         if tracer.enabled:
             tracer.instant(

@@ -20,6 +20,8 @@ from repro.cuda.types import cudaDeviceProp, cudaMemcpyKind
 from repro.cupp.exceptions import CuppUsageError, check, invalid_free
 from repro.simgpu.memory import DevicePtr
 
+_TRACER = obs.get_tracer()
+
 
 class Device:
     """A handle to one CUDA device (simulated or native).
@@ -183,8 +185,10 @@ class Device:
         """Driver-level allocation, bypassing any pool."""
         self._ensure_open()
         err, ptr = self.runtime.cudaMalloc(nbytes)
-        check(err, f"allocating {nbytes} bytes")
-        obs.instant("device.alloc", nbytes=nbytes, addr=ptr.addr)
+        if not err.ok:
+            check(err, f"allocating {nbytes} bytes")
+        if _TRACER.enabled:
+            _TRACER.instant("device.alloc", nbytes=nbytes, addr=ptr.addr)
         return ptr
 
     def _raw_free(self, ptr: DevicePtr) -> None:
@@ -202,7 +206,8 @@ class Device:
                 "not a live allocation (double free or foreign pointer)",
             )
         check(err)
-        obs.instant("device.free", addr=ptr.addr)
+        if _TRACER.enabled:
+            _TRACER.instant("device.free", addr=ptr.addr)
 
     def alloc(self, nbytes: int) -> DevicePtr:
         """Allocate global memory; raises :class:`CuppMemoryError` on
@@ -236,7 +241,11 @@ class Device:
         """Host -> device transfer (blocking, implicit synchronization)."""
         self._ensure_open()
         raw = np.ascontiguousarray(data)
-        with obs.span("device.upload", nbytes=raw.nbytes):
+        with (
+            _TRACER.span("device.upload", nbytes=raw.nbytes)
+            if _TRACER.enabled
+            else obs.NULL_SPAN
+        ):
             check(
                 self.runtime.cudaMemcpy(
                     ptr, raw, raw.nbytes, cudaMemcpyKind.cudaMemcpyHostToDevice
@@ -247,7 +256,11 @@ class Device:
         """Device -> host transfer; returns a fresh host array."""
         self._ensure_open()
         out = np.empty(nbytes, dtype=np.uint8)
-        with obs.span("device.download", nbytes=nbytes):
+        with (
+            _TRACER.span("device.download", nbytes=nbytes)
+            if _TRACER.enabled
+            else obs.NULL_SPAN
+        ):
             check(
                 self.runtime.cudaMemcpy(
                     out, ptr, nbytes, cudaMemcpyKind.cudaMemcpyDeviceToHost

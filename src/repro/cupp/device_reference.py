@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.cupp.device import Device
 from repro.cupp.exceptions import CuppUsageError
-from repro.cupp.serialize import is_picklable, pack_object, replicate, unpack_object
+from repro.cupp.serialize import (
+    pack_checked,
+    pack_object,
+    replicate,
+    unpack_object,
+)
 from repro.simgpu.memory import DevicePtr
 
 
@@ -30,8 +35,7 @@ class DeviceReference:
     def __init__(self, device: Device, obj: object) -> None:
         self.device = device
         self.cls = type(obj)
-        self._picklable = is_picklable(obj)
-        blob = pack_object(obj)
+        blob, self._picklable = pack_checked(obj)
         self._nbytes = int(blob.size)
         self._ptr: DevicePtr | None = device.alloc(max(self._nbytes, 1))
         device.upload(self._ptr, blob)

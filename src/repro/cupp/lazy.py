@@ -31,6 +31,21 @@ from repro.cupp.device_reference import DeviceReference
 from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.memory1d import Memory1D
 
+_TRACER = obs.get_tracer()
+_CONTAINER_QUERIES = obs.bind_counter("cupp.containers.queries")
+
+
+class _MetricFamily:
+    """The bound ``<prefix>.*`` counters of one container family."""
+
+    __slots__ = ("uploads", "downloads", "reallocs", "lazy_hits")
+
+    def __init__(self, prefix: str) -> None:
+        self.uploads = obs.bind_counter(f"{prefix}.uploads")
+        self.downloads = obs.bind_counter(f"{prefix}.downloads")
+        self.reallocs = obs.bind_counter(f"{prefix}.reallocs")
+        self.lazy_hits = obs.bind_counter(f"{prefix}.lazy_hits")
+
 
 class _Blocks(tuple):
     """A device copy's :class:`Memory1D` blocks, in allocation order.
@@ -74,6 +89,13 @@ class LazyContainer:
     #: last attribute, and teardown frees its parts' copies before its own.
     _blocks: "_Blocks | None" = None
 
+    #: The bound ``metric_prefix`` family, set per subclass.
+    _metrics: _MetricFamily
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._metrics = _MetricFamily(cls.metric_prefix)
+
     def __init__(self) -> None:
         self._host_valid = True
         self._device_valid = False
@@ -93,10 +115,8 @@ class LazyContainer:
         return self._downloads.value
 
     def _instant(self, name: "str | None") -> None:
-        if name is not None:
-            tracer = obs.get_tracer()
-            if tracer.enabled:
-                tracer.instant(name, nbytes=self.device_nbytes)
+        if name is not None and _TRACER.enabled:
+            _TRACER.instant(name, nbytes=self.device_nbytes)
 
     # ------------------------------------------------------------------
     # host side: read and write detection
@@ -121,7 +141,7 @@ class LazyContainer:
         self._host_valid = True
         self._load_host(arrays)
         self._downloads.inc()
-        obs.counter(f"{self.metric_prefix}.downloads").inc()
+        self._metrics.downloads.inc()
 
     def _pull_holders(self) -> None:
         """A kernel may have written this container inside a holder's
@@ -179,10 +199,9 @@ class LazyContainer:
                 getattr(self, name)._ensure_device(device, False)
             if account:
                 if self.counts_lazy_hits:
-                    obs.counter(f"{self.metric_prefix}.lazy_hits").inc()
+                    self._metrics.lazy_hits.inc()
                 # The transfer the lazy protocol avoided (§4.6).
-                if obs.get_tracer().enabled:
-                    self._instant(self.lazy_hit_instant)
+                self._instant(self.lazy_hit_instant)
             return blocks
         if not self._host_valid:
             self._download()
@@ -199,7 +218,7 @@ class LazyContainer:
                 cause = self.realloc_cause
                 if account:
                     if self.counts_reallocs:
-                        obs.counter(f"{self.metric_prefix}.reallocs").inc()
+                        self._metrics.reallocs.inc()
                     self._instant(self.realloc_instant)
             blocks = self._blocks = _Blocks(
                 Memory1D(device, array.dtype, array.size) for array in arrays
@@ -211,7 +230,7 @@ class LazyContainer:
         self._device_valid = True
         self._uploads.inc()
         if account:
-            obs.counter(f"{self.metric_prefix}.uploads").inc()
+            self._metrics.uploads.inc()
         return blocks
 
     def get_device_reference(self, device: Device) -> DeviceReference:
@@ -248,7 +267,7 @@ class HostBuiltContainer(LazyContainer):
         """Pass-by-value: upload iff stale; every consumption is recorded
         as ``grid-query`` on-device bytes (``moved=False``)."""
         self._ensure_device(device)
-        obs.counter("cupp.containers.queries").inc()
+        _CONTAINER_QUERIES.inc()
         obs.record_transfer(
             "grid-query", "d2d", self.device_nbytes,
             moved=False, label=self.query_label,

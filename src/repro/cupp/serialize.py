@@ -24,7 +24,11 @@ import pickle
 
 import numpy as np
 
+from repro import obs
 from repro.cupp.exceptions import CuppUsageError
+
+#: Objects packed as an opaque fingerprint because pickle refused them.
+_FALLBACKS = obs.bind_counter("cupp.serialize.fallbacks")
 
 
 class Boxed:
@@ -45,14 +49,22 @@ class Boxed:
 
 
 def pack_object(obj: object) -> np.ndarray:
-    """Serialize ``obj`` into device bytes (uint8 array).
+    """Serialize ``obj`` into device bytes (uint8 array); see
+    :func:`pack_checked`."""
+    return pack_checked(obj)[0]
+
+
+def pack_checked(obj: object) -> "tuple[np.ndarray, bool]":
+    """Serialize ``obj`` into device bytes, and say whether they are
+    faithful (``False`` for the fingerprint of an unpicklable object).
 
     Objects that cannot be pickled (e.g. instances of classes defined in a
     local scope) are replicated with :func:`copy.deepcopy` instead; the
     device-memory image is then an opaque fingerprint of the right rough
     size, and :func:`unpack_object` must be given the replica through the
     ``fallback`` parameter.  Accounting (bytes moved) stays realistic; only
-    the literal byte layout is given up.
+    the literal byte layout is given up, and every such pack counts in
+    ``cupp.serialize.fallbacks``.
     """
     pack = getattr(obj, "pack", None)
     if callable(pack):
@@ -61,23 +73,13 @@ def pack_object(obj: object) -> np.ndarray:
             raise CuppUsageError(
                 f"{type(obj).__name__}.pack() must return a uint8 ndarray"
             )
-        return blob
+        return blob, True
     try:
-        return np.frombuffer(pickle.dumps(obj), dtype=np.uint8).copy()
+        return np.frombuffer(pickle.dumps(obj), dtype=np.uint8).copy(), True
     except Exception:
+        _FALLBACKS.inc()
         fingerprint = repr(obj).encode() + b"\x00" * 32
-        return np.frombuffer(fingerprint, dtype=np.uint8).copy()
-
-
-def is_picklable(obj: object) -> bool:
-    """Can ``obj`` round-trip through the byte-wise (pickle) path?"""
-    if callable(getattr(obj, "pack", None)):
-        return True
-    try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
+        return np.frombuffer(fingerprint, dtype=np.uint8).copy(), False
 
 
 def replicate(obj: object) -> object:

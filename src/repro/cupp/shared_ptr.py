@@ -22,6 +22,8 @@ from repro.cupp.device import Device
 from repro.cupp.exceptions import CuppUsageError
 from repro.simgpu.memory import DevicePtr, NULL_PTR
 
+_LIVE = obs.bind_gauge("cupp.shared_ptr.live")
+
 
 @dataclass
 class _ControlBlock:
@@ -38,7 +40,7 @@ class DeviceSharedPtr:
         self._block: _ControlBlock | None = _ControlBlock(
             device, device.alloc(nbytes), 1
         )
-        obs.gauge("cupp.shared_ptr.live").inc()
+        _LIVE.inc()
         obs.instant(
             "shared_ptr.alloc", nbytes=nbytes, addr=self._block.ptr.addr
         )
@@ -97,7 +99,7 @@ class DeviceSharedPtr:
             "shared_ptr.release", addr=block.ptr.addr, use_count=block.count
         )
         if block.count == 0 and block.ptr:
-            obs.gauge("cupp.shared_ptr.live").dec()
+            _LIVE.dec()
             try:
                 block.device.free(block.ptr)
             except CuppUsageError:

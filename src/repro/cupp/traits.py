@@ -37,6 +37,8 @@ from repro import obs
 from repro.cupp.exceptions import CuppTraitError
 from repro.cupp.typetransform import device_type_of, validate_binding
 
+_ANALYSES = obs.bind_counter("cupp.traits.analyses")
+
 
 @dataclass(frozen=True)
 class RefSpec:
@@ -106,7 +108,7 @@ def analyze_kernel(fn: Callable) -> KernelTraits:
     the first parameter must be the thread context and is not a kernel
     parameter.
     """
-    obs.counter("cupp.traits.analyses").inc()
+    _ANALYSES.inc()
     impl = getattr(fn, "impl", fn)
     sig = inspect.signature(impl)
     names = list(sig.parameters)
@@ -156,16 +158,6 @@ def analyze_kernel(fn: Callable) -> KernelTraits:
 def has_transform(obj: object) -> bool:
     """Does the object declare its own ``transform()``?"""
     return callable(getattr(type(obj), "transform", None))
-
-
-def has_get_device_reference(obj: object) -> bool:
-    """Does the object declare its own ``get_device_reference()``?"""
-    return callable(getattr(type(obj), "get_device_reference", None))
-
-
-def has_dirty(obj: object) -> bool:
-    """Does the object declare its own ``dirty()``?"""
-    return callable(getattr(type(obj), "dirty", None))
 
 
 def default_transform(obj: object, device: object) -> object:

@@ -261,7 +261,7 @@ class Vector(LazyContainer):
             )
             self._const_valid = True
             self._uploads.inc()
-            obs.counter("cupp.vector.uploads").inc()
+            self._metrics.uploads.inc()
             obs.record_transfer(
                 "eager",
                 "h2d",

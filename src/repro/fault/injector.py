@@ -54,6 +54,10 @@ FAULT_POINTS = {
 #: Every fault kind the injector can produce.
 FAULT_KINDS = tuple(k for kinds in FAULT_POINTS.values() for k in kinds)
 
+_INJECTED = {
+    kind: obs.bind_counter("fault.injected", kind=kind) for kind in FAULT_KINDS
+}
+
 
 class InjectedFault(Exception):
     """Raised by a consult site that surfaces a fault as control flow
@@ -211,7 +215,7 @@ class FaultInjector:
             return None
         self.stats.injected += 1
         self.stats.by_kind[kind] += 1
-        obs.counter("fault.injected", kind=kind).inc()
+        _INJECTED[kind].inc()
         obs.instant(
             "fault.inject", kind=kind, point=point, device=device_index
         )

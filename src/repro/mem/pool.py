@@ -149,6 +149,37 @@ class _Live:
     segment: "_Segment | None"
 
 
+class _PoolSeries:
+    """The ``mem.*`` series of one device's pool, bound once."""
+
+    __slots__ = (
+        "hits", "misses", "trims", "oom_flushes", "oom_retries_ok",
+        "oom_retries_failed", "bytes_in_use", "bytes_reserved",
+        "fragmentation",
+    )
+
+    def __init__(self, device: int) -> None:
+        self.hits = obs.bind_counter("mem.pool.hits", device=device)
+        self.misses = obs.bind_counter("mem.pool.misses", device=device)
+        self.trims = obs.bind_counter("mem.pool.trims", device=device)
+        self.oom_flushes = obs.bind_counter(
+            "mem.pool.oom_flushes", device=device
+        )
+        self.oom_retries_ok = obs.bind_counter(
+            "mem.pool.oom_retries", device=device, outcome="ok"
+        )
+        self.oom_retries_failed = obs.bind_counter(
+            "mem.pool.oom_retries", device=device, outcome="failed"
+        )
+        self.bytes_in_use = obs.bind_gauge("mem.bytes_in_use", device=device)
+        self.bytes_reserved = obs.bind_gauge(
+            "mem.bytes_reserved", device=device
+        )
+        self.fragmentation = obs.bind_gauge(
+            "mem.fragmentation", device=device
+        )
+
+
 class MemoryPool:
     """A per-device caching allocator (see module docstring).
 
@@ -196,6 +227,7 @@ class MemoryPool:
         self._oom_retries_failed = 0
         self._allocs = 0
         self._frees = 0
+        self._series = _PoolSeries(device.index)
         self._publish()
 
     # ------------------------------------------------------------------
@@ -226,10 +258,10 @@ class MemoryPool:
         return 1.0 - mem.largest_free_bytes / free
 
     def _publish(self) -> None:
-        idx = self.device.index
-        obs.gauge("mem.bytes_in_use", device=idx).set(self._in_use)
-        obs.gauge("mem.bytes_reserved", device=idx).set(self._reserved)
-        obs.gauge("mem.fragmentation", device=idx).set(self._fragmentation())
+        series = self._series
+        series.bytes_in_use.set(self._in_use)
+        series.bytes_reserved.set(self._reserved)
+        series.fragmentation.set(self._fragmentation())
 
     def _record(self, cause: str, nbytes: int) -> None:
         obs.record_transfer(
@@ -246,7 +278,7 @@ class MemoryPool:
         except CuppMemoryError:
             released = self.flush(cause="oom-flush")
             self._oom_flushes += 1
-            obs.counter("mem.pool.oom_flushes", device=self.device.index).inc()
+            self._series.oom_flushes.inc()
             try:
                 ptr = self.device._raw_alloc(nbytes)
             except CuppMemoryError as exc:
@@ -254,11 +286,7 @@ class MemoryPool:
                 # the report always carries the post-flush verdict (not
                 # just the happy retry).
                 self._oom_retries_failed += 1
-                obs.counter(
-                    "mem.pool.oom_retries",
-                    device=self.device.index,
-                    outcome="failed",
-                ).inc()
+                self._series.oom_retries_failed.inc()
                 report = self._oom_report(nbytes, released)
                 report["retry_outcome"] = "failed"
                 raise OutOfMemory(
@@ -272,11 +300,7 @@ class MemoryPool:
                 ) from exc
             else:
                 self._oom_retries_ok += 1
-                obs.counter(
-                    "mem.pool.oom_retries",
-                    device=self.device.index,
-                    outcome="ok",
-                ).inc()
+                self._series.oom_retries_ok.inc()
         self._reserved += self._charged_size(nbytes)
         return ptr
 
@@ -383,12 +407,12 @@ class MemoryPool:
 
     def _note_hit(self, size: int) -> None:
         self._hits += 1
-        obs.counter("mem.pool.hits", device=self.device.index).inc()
+        self._series.hits.inc()
         self._record("pool-hit", size)
 
     def _note_miss(self, size: int) -> None:
         self._misses += 1
-        obs.counter("mem.pool.misses", device=self.device.index).inc()
+        self._series.misses.inc()
         self._record("pool-miss", size)
 
     # ------------------------------------------------------------------
@@ -470,7 +494,7 @@ class MemoryPool:
             released += size
         if released:
             self._trims += 1
-            obs.counter("mem.pool.trims", device=self.device.index).inc()
+            self._series.trims.inc()
             self._record("pool-trim", released)
         self._publish()
         return released

@@ -14,7 +14,9 @@ One process-wide trio backs all instrumentation in the runtime:
   avoid?" question has a queryable answer.
 
 Instrumented code calls the module-level conveniences (:func:`span`,
-:func:`instant`, :func:`record_transfer`, :func:`counter`); consumers
+:func:`instant`, :func:`record_transfer`, :func:`counter`), and hot
+paths bind their series once with :func:`bind_counter` /
+:func:`bind_gauge` / :func:`bind_histogram`; consumers
 enable collection with :func:`enable_tracing` or scope it with
 :func:`~repro.obs.session.capture` and export via
 :mod:`repro.obs.export` (Chrome-trace JSON loadable in
@@ -106,6 +108,9 @@ __all__ = [
     "load_flight",
     "render_gantt",
     "batch_size_histogram",
+    "bind_counter",
+    "bind_gauge",
+    "bind_histogram",
     "capture",
     "chrome_trace",
     "counter",
@@ -195,6 +200,22 @@ def histogram(name: str, **labels: object) -> Histogram:
     return _METRICS.histogram(name, **labels)
 
 
+def bind_counter(name: str, **labels: object) -> Counter:
+    """A counter handle to keep: listed in snapshots once it counts, and
+    still the registry's series after :func:`reset`."""
+    return _METRICS.bind_counter(name, **labels)
+
+
+def bind_gauge(name: str, **labels: object) -> Gauge:
+    """A gauge handle to keep (see :func:`bind_counter`)."""
+    return _METRICS.bind_gauge(name, **labels)
+
+
+def bind_histogram(name: str, **labels: object) -> Histogram:
+    """A histogram handle to keep (see :func:`bind_counter`)."""
+    return _METRICS.bind_histogram(name, **labels)
+
+
 def queue_depth_gauge(component: str, **labels: object) -> Gauge:
     """The canonical queue-depth series for ``component``.
 
@@ -245,6 +266,24 @@ def request_outcome_counter(
 # ----------------------------------------------------------------------
 # the transfer ledger funnel
 # ----------------------------------------------------------------------
+#: ``(cause, direction)`` -> its bound ``repro.transfer.{bytes,count}``.
+_TRANSFER_SERIES: "dict[tuple[str, str], tuple[Counter, Counter]]" = {}
+
+
+def _transfer_series(cause: str, direction: str) -> "tuple[Counter, Counter]":
+    series = _TRANSFER_SERIES.get((cause, direction))
+    if series is None:
+        series = _TRANSFER_SERIES[cause, direction] = (
+            _METRICS.bind_counter(
+                "repro.transfer.bytes", cause=cause, direction=direction
+            ),
+            _METRICS.bind_counter(
+                "repro.transfer.count", cause=cause, direction=direction
+            ),
+        )
+    return series
+
+
 def record_transfer(
     cause: str,
     direction: str,
@@ -269,12 +308,9 @@ def record_transfer(
     _LEDGER.record(
         cause, direction, nbytes, moved=moved, label=label, ts=ts
     )
-    _METRICS.counter(
-        "repro.transfer.bytes", cause=cause, direction=direction
-    ).inc(int(nbytes))
-    _METRICS.counter(
-        "repro.transfer.count", cause=cause, direction=direction
-    ).inc()
+    byte_series, count_series = _transfer_series(cause, direction)
+    byte_series.inc(int(nbytes))
+    count_series.inc()
     if _TRACER.enabled:
         _TRACER.instant(
             f"transfer:{cause}",

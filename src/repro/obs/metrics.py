@@ -2,11 +2,20 @@
 
 Instruments are deliberately tiny mutable objects — a hot path holds a
 direct reference to its :class:`Counter` and calls :meth:`Counter.inc`,
-paying one attribute store per event.  The :class:`MetricsRegistry`
+paying two attribute stores per event.  The :class:`MetricsRegistry`
 interns instruments by ``(name, labels)`` so every caller asking for the
 same series gets the same object, and renders everything into a plain
 dict via :meth:`MetricsRegistry.snapshot` (the format
 ``repro.bench.report`` and the JSON exporters consume).
+
+Bind once, reset keeps handles: a series' name and labels are fixed at
+its call site, so hot code binds its instrument once (at import, or per
+owner such as a kernel or a device) with :meth:`MetricsRegistry.bind_counter`
+and friends, and :meth:`MetricsRegistry.reset` zeroes every instrument
+in place, so a bound handle keeps counting into the registry.  Each
+instrument carries a ``live`` mark: a lookup or any update sets it, a
+reset clears it, and a snapshot lists live series only — a handle bound
+but never used stays out of every snapshot.
 
 Instrument classes are also usable standalone (unregistered): per-object
 statistics such as a single ``cupp.Vector``'s upload count are backed by
@@ -24,14 +33,21 @@ from collections import deque
 class Counter:
     """A monotonically increasing count (events, bytes, launches)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "live")
 
     def __init__(self, value: "int | float" = 0) -> None:
         self.value = value
+        self.live = False
 
     def inc(self, n: "int | float" = 1) -> None:
         """Add ``n`` (defaults to 1) to the count."""
         self.value += n
+        self.live = True
+
+    def reset(self) -> None:
+        """Back to zero and out of snapshots, keeping this object."""
+        self.value = 0
+        self.live = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.value})"
@@ -40,22 +56,31 @@ class Counter:
 class Gauge:
     """A value that can go up and down (live allocations, queue depth)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "live")
 
     def __init__(self, value: float = 0.0) -> None:
         self.value = value
+        self.live = False
 
     def set(self, value: float) -> None:
         """Overwrite the gauge."""
         self.value = value
+        self.live = True
 
     def inc(self, n: float = 1) -> None:
         """Move the gauge up by ``n``."""
         self.value += n
+        self.live = True
 
     def dec(self, n: float = 1) -> None:
         """Move the gauge down by ``n``."""
         self.value -= n
+        self.live = True
+
+    def reset(self) -> None:
+        """Back to zero and out of snapshots, keeping this object."""
+        self.value = 0.0
+        self.live = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.value})"
@@ -69,7 +94,7 @@ class Histogram:
     microseconds — without per-series configuration.
     """
 
-    __slots__ = ("count", "total", "min", "max", "buckets", "exemplars")
+    __slots__ = ("count", "total", "min", "max", "buckets", "exemplars", "live")
 
     #: Number of power-of-two buckets (the last one is unbounded).
     BUCKETS = 40
@@ -78,6 +103,11 @@ class Histogram:
     EXEMPLARS_PER_BUCKET = 4
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the histogram and take it out of snapshots, keeping
+        this object."""
         self.count = 0
         self.total = 0.0
         self.min: "float | None" = None
@@ -87,9 +117,11 @@ class Histogram:
         # when a caller actually passes trace ids, so plain histograms
         # stay four-slot cheap.
         self.exemplars: "dict[int, list] | None" = None
+        self.live = False
 
     def observe(self, value: float, trace_id: "str | None" = None) -> None:
         """Record one sample, optionally tagged with a trace exemplar."""
+        self.live = True
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -312,9 +344,12 @@ def _series_name(name: str, labels: "tuple[tuple[str, object], ...]") -> str:
 class MetricsRegistry:
     """Interned, labeled instruments plus a snapshot renderer.
 
-    ``counter``/``gauge``/``histogram`` get-or-create a series; asking
-    twice with the same name and labels returns the same instrument, so
-    instrumented code can cache the handle or re-resolve it each time.
+    ``counter``/``gauge``/``histogram`` get-or-create a series and mark
+    it live: asking twice with the same name and labels returns the same
+    instrument, and the series is listed from then on, even at zero.
+    ``bind_counter``/``bind_gauge``/``bind_histogram`` return the same
+    instrument without marking it, for code that resolves its handles
+    once and updates them later: the series is listed once it is used.
     """
 
     def __init__(self) -> None:
@@ -327,13 +362,18 @@ class MetricsRegistry:
         self._histograms: dict = {}
 
     # ------------------------------------------------------------------
-    def _get(self, table: dict, factory, name: str, labels: dict):
+    def _bind(self, table: dict, factory, name: str, labels: dict):
         key = _series_key(name, labels)
         with self._lock:
             inst = table.get(key)
             if inst is None:
                 inst = table[key] = factory()
             return inst
+
+    def _get(self, table: dict, factory, name: str, labels: dict):
+        inst = self._bind(table, factory, name, labels)
+        inst.live = True
+        return inst
 
     def counter(self, name: str, **labels: object) -> Counter:
         """The :class:`Counter` for ``name`` + ``labels`` (created once)."""
@@ -347,9 +387,24 @@ class MetricsRegistry:
         """The :class:`Histogram` for ``name`` + ``labels`` (created once)."""
         return self._get(self._histograms, Histogram, name, labels)
 
+    def bind_counter(self, name: str, **labels: object) -> Counter:
+        """The same :class:`Counter` as :meth:`counter`, listed in
+        snapshots only once it is updated."""
+        return self._bind(self._counters, Counter, name, labels)
+
+    def bind_gauge(self, name: str, **labels: object) -> Gauge:
+        """The same :class:`Gauge` as :meth:`gauge`, listed in snapshots
+        only once it is updated."""
+        return self._bind(self._gauges, Gauge, name, labels)
+
+    def bind_histogram(self, name: str, **labels: object) -> Histogram:
+        """The same :class:`Histogram` as :meth:`histogram`, listed in
+        snapshots only once it observes a sample."""
+        return self._bind(self._histograms, Histogram, name, labels)
+
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Everything, as a JSON-serializable dict.
+        """Every live series, as a JSON-serializable dict.
 
         Series names render as ``name{label=value,...}``; counters and
         gauges map to their value, histograms to their summary dict.
@@ -359,20 +414,24 @@ class MetricsRegistry:
                 "counters": {
                     _series_name(n, l): c.value
                     for (n, l), c in sorted(self._counters.items())
+                    if c.live
                 },
                 "gauges": {
                     _series_name(n, l): g.value
                     for (n, l), g in sorted(self._gauges.items())
+                    if g.live
                 },
                 "histograms": {
                     _series_name(n, l): h.summary()
                     for (n, l), h in sorted(self._histograms.items())
+                    if h.live
                 },
             }
 
     def reset(self) -> None:
-        """Drop every series (test isolation; existing handles detach)."""
+        """Zero every series in place (test isolation; bound handles
+        keep counting into the registry)."""
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+            for table in (self._counters, self._gauges, self._histograms):
+                for inst in table.values():
+                    inst.reset()

@@ -173,6 +173,9 @@ class Tracer:
         self._recorder: Recorder = (
             recorder if recorder is not None else NullRecorder()
         )
+        #: True when events are being kept (non-null recorder): a plain
+        #: attribute, so a disabled hot path pays one load and a branch.
+        self.enabled = not isinstance(self._recorder, NullRecorder)
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -181,11 +184,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    @property
-    def enabled(self) -> bool:
-        """True when events are being kept (non-null recorder)."""
-        return not isinstance(self._recorder, NullRecorder)
 
     @property
     def recorder(self) -> Recorder:
@@ -199,11 +197,13 @@ class Tracer:
         if recorder is None:
             recorder = InMemoryRecorder()
         self._recorder = recorder
+        self.enabled = not isinstance(recorder, NullRecorder)
         return self._recorder
 
     def disable(self) -> None:
         """Stop recording; subsequent spans are shared no-ops."""
         self._recorder = NullRecorder()
+        self.enabled = False
 
     # ------------------------------------------------------------------
     def span(self, name: str, **args: object) -> "Span | NullSpan":
@@ -212,13 +212,13 @@ class Tracer:
         When disabled this returns the shared :data:`NULL_SPAN` without
         touching the clock — the zero-cost path.
         """
-        if isinstance(self._recorder, NullRecorder):
+        if not self.enabled:
             return NULL_SPAN
         return Span(self, name, args)
 
     def instant(self, name: str, **args: object) -> None:
         """Record a point-in-time event at the current nesting depth."""
-        if isinstance(self._recorder, NullRecorder):
+        if not self.enabled:
             return
         stack = self._stack()
         self._recorder.record(

@@ -29,10 +29,21 @@ from collections import deque
 
 from repro import obs
 from repro.cupp.exceptions import CuppUsageError
+from repro.obs.monitor import OUTCOME_SERIES
 from repro.serve.request import RequestStatus, StepRequest
 
 #: The recognized backpressure policies.
 POLICIES = ("reject", "shed-oldest", "block")
+
+#: Outcome name -> its ``repro.serve.requests`` and canonical
+#: ``repro.request.outcome`` counters.
+_OUTCOMES = {
+    name: (
+        obs.bind_counter("repro.serve.requests", outcome=name),
+        obs.bind_counter(OUTCOME_SERIES, component="serve", outcome=name),
+    )
+    for name in ("admitted", "expired", "rejected", "shed", "blocked")
+}
 
 
 class AdmissionController:
@@ -59,8 +70,8 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def _outcome(self, request: StepRequest, name: str, now: float) -> None:
-        obs.counter("repro.serve.requests", outcome=name).inc()
-        obs.request_outcome_counter("serve", name).inc()
+        for series in _OUTCOMES[name]:
+            series.inc()
         if self.outcome_listener is not None:
             self.outcome_listener(request, name, now)
 

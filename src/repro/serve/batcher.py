@@ -29,6 +29,8 @@ from repro import obs
 from repro.cupp.exceptions import CuppUsageError
 from repro.serve.request import StepRequest
 
+_BATCHES = obs.bind_counter("repro.serve.batches")
+
 
 @dataclass
 class Batch:
@@ -116,7 +118,7 @@ class DynamicBatcher:
         batch = Batch(self._next_id, picked, formed_s=now)
         self._next_id += 1
         self._sizes.observe(len(picked))
-        obs.counter("repro.serve.batches").inc()
+        _BATCHES.inc()
         return batch
 
     @staticmethod

@@ -58,6 +58,10 @@ from repro.serve.sessions import Session
 from repro.simgpu.arch import scaled_arch
 from repro.simgpu.transfer import StreamOp
 
+_EVICTIONS = obs.bind_counter("fault.evictions")
+_READMISSIONS = obs.bind_counter("fault.readmissions")
+_LAUNCHES = obs.bind_counter("repro.serve.launches")
+
 
 def make_group(
     devices: int = 2,
@@ -205,7 +209,7 @@ class DeviceScheduler:
         """Remove a device from placement until a probe readmits it."""
         self.inflight_count[device_index] = 0
         self.unhealthy.add(device_index)
-        obs.counter("fault.evictions").inc()
+        _EVICTIONS.inc()
         obs.instant(
             "serve.device-evict", device=device_index, reason=reason
         )
@@ -221,7 +225,7 @@ class DeviceScheduler:
         if self.timelines[device_index].device_busy_until > now:
             return False
         self.unhealthy.discard(device_index)
-        obs.counter("fault.readmissions").inc()
+        _READMISSIONS.inc()
         obs.instant("serve.device-readmit", device=device_index)
         return True
 
@@ -490,7 +494,7 @@ class DeviceScheduler:
         for _ in range(engine.launches_per_batch - 1):
             enqueue(0.0)  # kernel boundary: launch cost only
         op = enqueue(kernel_s + hang_s)
-        obs.counter("repro.serve.launches").inc(engine.launches_per_batch)
+        _LAUNCHES.inc(engine.launches_per_batch)
         self.inflight_count[sub.device_index] += 1
         sub.completion_s = op.end_s
         sub.expected_completion_s = op.end_s - hang_s

@@ -57,6 +57,7 @@ from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.vector import Vector
 from repro.fault import FaultConfig, FaultInjector, InjectedFault
+from repro.obs.monitor import OUTCOME_SERIES
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.engine import StepEngine
@@ -68,6 +69,16 @@ from repro.steer.params import BoidsParams, DEFAULT_PARAMS
 #: Tolerance when comparing virtual timestamps (they are sums of many
 #: small floats; exact equality would drop simultaneous events).
 _EPS = 1e-12
+
+_FAILOVERS = obs.bind_counter("fault.failovers")
+_RETRIES = obs.bind_counter("fault.retries")
+_TIMEOUTS = obs.bind_counter("fault.timeouts")
+_CORRUPTIONS = obs.bind_counter("fault.corruptions")
+_FAILED = (
+    obs.bind_counter("repro.serve.requests", outcome="failed"),
+    obs.bind_counter(OUTCOME_SERIES, component="serve", outcome="failed"),
+)
+_DONE = obs.bind_counter(OUTCOME_SERIES, component="serve", outcome="done")
 
 
 @dataclass
@@ -575,7 +586,7 @@ class SimulationService:
         session.resident_on = None
         session.restore_checkpoint()
         self.stats.failovers += 1
-        obs.counter("fault.failovers").inc()
+        _FAILOVERS.inc()
         obs.instant(
             "serve.failover", session=session.session_id, reason=reason
         )
@@ -598,8 +609,8 @@ class SimulationService:
             if failed:
                 request.status = RequestStatus.FAILED
                 self.stats.failed += 1
-                obs.counter("repro.serve.requests", outcome="failed").inc()
-                obs.request_outcome_counter("serve", "failed").inc()
+                for series in _FAILED:
+                    series.inc()
                 obs.instant(
                     "serve.request-failed",
                     request=request.request_id,
@@ -612,7 +623,7 @@ class SimulationService:
                 self._retry_parked.append((wake, self._retry_seq, request))
                 self._retry_seq += 1
                 self.stats.retries += 1
-                obs.counter("fault.retries").inc()
+                _RETRIES.inc()
                 obs.record_transfer(
                     "retry", "none", 0, moved=False, label=reason
                 )
@@ -624,7 +635,7 @@ class SimulationService:
         fail every session resident there over to the host."""
         self.stats.timeouts += 1
         self.stats.evictions += 1
-        obs.counter("fault.timeouts").inc()
+        _TIMEOUTS.inc()
         obs.instant(
             "serve.batch-timeout",
             device=sub.device_index,
@@ -752,7 +763,7 @@ class SimulationService:
             # step is void.  Roll every touched session back to its
             # checkpoint (the device copy is suspect too) and retry.
             self._in_flight.remove(sub)
-            obs.counter("fault.corruptions").inc()
+            _CORRUPTIONS.inc()
             obs.instant(
                 "serve.result-corrupt",
                 device=sub.device_index,
@@ -795,7 +806,7 @@ class SimulationService:
             self._latency_us.observe(
                 latency_us, getattr(request.ctx, "trace_id", None)
             )
-            obs.request_outcome_counter("serve", "done").inc()
+            _DONE.inc()
             for o in self.observers:
                 o.request_completed(request, latency_us, self.now)
         self._in_flight.remove(sub)

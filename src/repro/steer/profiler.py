@@ -16,6 +16,11 @@ from repro import obs
 #: Canonical stage names, in pipeline order (Fig. 5.4).
 STAGES = ("neighbor_search", "steering", "modification", "draw", "other")
 
+_STAGE_CYCLES = {
+    stage: obs.bind_counter("steer.stage_cycles", stage=stage)
+    for stage in STAGES
+}
+
 
 @dataclass
 class StageProfile:
@@ -29,7 +34,7 @@ class StageProfile:
         if stage not in self.cycles:
             raise KeyError(f"unknown stage {stage!r}; expected one of {STAGES}")
         self.cycles[stage] += cycles
-        obs.counter("steer.stage_cycles", stage=stage).inc(cycles)
+        _STAGE_CYCLES[stage].inc(cycles)
         tracer = obs.get_tracer()
         if tracer.enabled:
             tracer.instant(f"stage:{stage}", cycles=cycles)

@@ -252,3 +252,135 @@ class TestCustomProtocol:
 
         with pytest.raises(CuppTraitError, match="DeviceReference"):
             Kernel(read, 1, 1)(dev, Broken())
+
+
+# --- The compiled call: plans and bound handles -------------------------
+class TestCallPlan:
+    """After the first call, a call runs its plan: no registry lookup, no
+    plan build, and exactly the CUDA traffic the paper's semantics need."""
+
+    @pytest.fixture
+    def boids(self):
+        from repro.gpusteer.emulated import EmulatedBoids
+
+        obs.reset()
+        boids = EmulatedBoids(64, 5, seed=11, device=Device(backend="native"))
+        boids.step()  # warm-up: first uploads, first plans
+        yield boids
+        obs.reset()
+
+    def test_v5_step_makes_no_lookup_and_builds_no_plan(self, boids, monkeypatch):
+        from repro.cupp.kernel import Kernel as K
+        from repro.obs.metrics import MetricsRegistry
+
+        mallocs = obs.counter("cuda.malloc.count")
+        memcpys = [
+            obs.counter("cuda.memcpy.count", kind=kind)
+            for kind in ("cudaMemcpyHostToDevice", "cudaMemcpyDeviceToHost")
+        ]
+        before = (mallocs.value, sum(c.value for c in memcpys))
+        lookups, plans = [], []
+        bind, build = MetricsRegistry._bind, K._build_plan
+        monkeypatch.setattr(
+            MetricsRegistry,
+            "_bind",
+            lambda self, *a: lookups.append(a[2]) or bind(self, *a),
+        )
+        monkeypatch.setattr(
+            K, "_build_plan", lambda self, t: plans.append(t) or build(self, t)
+        )
+        assert not obs.enabled()
+        boids.step()
+        assert lookups == []
+        assert plans == []
+        after = (mallocs.value, sum(c.value for c in memcpys))
+        assert (after[0] - before[0], after[1] - before[1]) == (10, 16)
+
+    def test_readonly_wrapper_on_the_class_is_still_called(
+        self, boids, monkeypatch
+    ):
+        from repro.cupp import Vector
+
+        calls = []
+        original = Vector.get_device_reference_readonly
+
+        def wrapped(self, device):
+            calls.append(self)
+            return original(self, device)
+
+        monkeypatch.setattr(Vector, "get_device_reference_readonly", wrapped)
+        boids.step()
+        # positions + forwards (simulate), steering + params (modify)
+        assert len(calls) == 4
+
+    def test_new_argument_type_builds_one_more_plan(self, dev):
+        f = Kernel(half_kernel, 1, 1)
+        j = Boxed(0)
+        f(dev, 10, j)
+        f(dev, 10, j)
+        assert len(f._plans) == 1
+        f(dev, np.int32(12), j)
+        assert len(f._plans) == 2
+        assert j.value == 6
+        f(dev, 14, j)
+        assert len(f._plans) == 2
+        assert j.value == 7
+
+
+    def test_by_ref_argument_is_pickled_once_per_copy(self, dev, monkeypatch):
+        import pickle
+
+        dumps, pickled = pickle.dumps, []
+        monkeypatch.setattr(
+            pickle,
+            "dumps",
+            lambda *a, **k: pickled.append(a[0]) or dumps(*a, **k),
+        )
+        j = Boxed(0)
+        Kernel(half_kernel, 1, 1)(dev, 10, j)
+        assert j.value == 5
+        # One for the upload, one for the copy-back image.
+        assert len(pickled) == 2
+
+
+class TestSerializeFallback:
+    def test_unpicklable_argument_is_counted(self, dev):
+        class Local:  # defined in a function: pickle cannot find it
+            def __init__(self):
+                self.v = 3
+
+        @global_
+        def read(ctx, c: ConstRef[Local], out: Ref[int]):
+            yield op(OpClass.IADD)
+            out.value = c.v
+
+        fallbacks = obs.counter("cupp.serialize.fallbacks")
+        before = fallbacks.value
+        out = Boxed(0)
+        Kernel(read, 1, 1)(dev, Local(), out)
+        assert out.value == 3
+        assert fallbacks.value - before == 1
+
+
+class TestTracingOff:
+    def test_launch_builds_no_span_attributes(self, dev, monkeypatch):
+        from repro.simgpu.profile import InstructionProfile
+
+        summaries = []
+        original = InstructionProfile.summary
+        monkeypatch.setattr(
+            InstructionProfile,
+            "summary",
+            lambda self: summaries.append(self) or original(self),
+        )
+        f = Kernel(half_kernel, 1, 1)
+        assert not obs.enabled()
+        f(dev, 10, Boxed(0))
+        assert summaries == []
+        with obs.capture() as cap:
+            f(dev, 10, Boxed(0))
+        assert len(summaries) == 1
+        launch = next(
+            e for e in cap.events if e.name == "cuda.launch:half_kernel"
+        )
+        assert launch.args["profile"] == original(summaries[0])
