@@ -21,10 +21,11 @@ follows from mirroring the emulator's numerics exactly:
 Tie-breaking is exact, not accepted-divergent: the emulator's streaming
 keep-7 insert (listing 5.2) compares full ``(d2, index)`` pairs, which
 makes its kept set *the* seven lexicographically smallest pairs
-regardless of insertion order — identical to the stable-sort selection
-used here even when tied distances straddle the seventh slot, and
-identical across candidate traversal orders (all-pairs scan, shared
-tiles, grid buckets).  The conformance suite asserts this with
+regardless of insertion order — identical to the one ``(d2, index)``
+ranking every twin here uses (``steer.neighbors.rank_nearest``) even
+when tied distances straddle the seventh slot, and identical across
+candidate traversal orders (all-pairs scan, shared tiles, grid
+buckets).  The conformance suite asserts this with
 manufactured exact ties.
 """
 
@@ -51,7 +52,7 @@ from repro.gpusteer.kernels_emu import (
 )
 from repro.gpusteer.kernels_grid import find_neighbors_hash, simulate_grid
 from repro.simgpu.memory import InvalidDeviceAccess
-from repro.steer.neighbors import keep_nearest
+from repro.steer.neighbors import rank_nearest
 
 F64 = np.float64
 
@@ -102,7 +103,8 @@ def _neighbor_candidates(pos: np.ndarray, m: int, r2: float):
     oz = my[:, None, 2] - pos[None, :, 2]
     d2 = (ox * ox + oy * oy) + oz * oz
     in_radius = (d2 < r2) & (np.arange(n)[None, :] != np.arange(m)[:, None])
-    return keep_nearest(d2, in_radius, MAX_NEIGHBORS)
+    owner, j = np.nonzero(in_radius)
+    return rank_nearest(owner, d2[owner, j], j, m, MAX_NEIGHBORS)
 
 
 def _steering_from_neighbors(
@@ -150,9 +152,8 @@ def _steering_from_neighbors(
 
 
 def _store_results(results, order: np.ndarray, found: np.ndarray, m: int) -> None:
-    """Store the gather as result slots, NO_NEIGHBOR-padded to 7 columns."""
-    out = np.full((m, MAX_NEIGHBORS), NO_NEIGHBOR, np.int32)
-    out[:, : order.shape[1]] = np.where(found, order, NO_NEIGHBOR)
+    """Store the gather as result slots, NO_NEIGHBOR where none was found."""
+    out = np.where(found, order, NO_NEIGHBOR)
     results.view._raw()[: m * MAX_NEIGHBORS] = out.reshape(-1)
 
 
@@ -412,15 +413,9 @@ def _grid_neighbors(hgrid, pos: np.ndarray, m: int, r2: float):
         ox, oy, oz = (np.take(c, owner) - np.take(c, j) for c in cols)
         d2 = (ox * ox + oy * oy) + oz * oz
         keep = np.flatnonzero((d2 < r2) & (j != owner))
-        j, d2, owner = j[keep], d2[keep], owner[keep]
-        # Owner-major, then the (d2, index) order — lexsort's primary
-        # key is its *last* array.
-        ranked = np.lexsort((j, d2, owner))
-        j, owner = j[ranked], owner[ranked]
-        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-        top = rank < MAX_NEIGHBORS
-        order[owner[top], rank[top]] = j[top]
-        found[owner[top], rank[top]] = True
+        order[a:b], found[a:b] = rank_nearest(
+            owner[keep] - a, d2[keep], j[keep], b - a, MAX_NEIGHBORS
+        )
     return order, found
 
 

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import obs
 from repro.backend.base import ExecutionBackend
 from repro.prof import hook as prof_hook
 from repro.simgpu.arch import ArchSpec, G80_8800GTS
@@ -198,6 +199,9 @@ class NativeDevice(ExecutionBackend):
             # SIMT fallback: thread-by-thread execution for correctness.
             # The profile is kept for introspection but carries no cost
             # meaning here — duration_s reports wall-clock either way.
+            # Counted per kernel, so a missing twin is not silent; one
+            # bind per launch is noise next to emulating every thread.
+            obs.bind_counter("backend.simt_fallbacks", kernel=name).inc()
             start = time.perf_counter()
             profile, shared_bytes = self._run_simt(
                 kernel_fn, grid_dim, block_dim, args, strict_sync

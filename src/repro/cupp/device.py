@@ -21,6 +21,9 @@ from repro.cupp.exceptions import CuppUsageError, check, invalid_free
 from repro.simgpu.memory import DevicePtr
 
 _TRACER = obs.get_tracer()
+#: Finalizers (``__del__``) of CuPP handles that raised: a finalizer must
+#: not raise, so the error is swallowed, but counted, not silent.
+TEARDOWN_ERRORS = obs.bind_counter("cupp.teardown_errors")
 
 
 class Device:
@@ -296,7 +299,7 @@ class Device:
         try:
             self.close()
         except Exception:
-            pass
+            TEARDOWN_ERRORS.inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self._open else "closed"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cupp.device import Device
+from repro.cupp.device import TEARDOWN_ERRORS, Device
 from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.serialize import (
     pack_checked,
@@ -100,4 +100,4 @@ class DeviceReference:
         try:
             self.free()
         except Exception:
-            pass
+            TEARDOWN_ERRORS.inc()

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro import obs
-from repro.cupp.device import Device
+from repro.cupp.device import TEARDOWN_ERRORS, Device
 from repro.cupp.exceptions import CuppUsageError
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
@@ -151,7 +151,7 @@ class Memory1D:
         try:
             self.close()
         except Exception:
-            pass
+            TEARDOWN_ERRORS.inc()
 
     def __len__(self) -> int:
         return self.count

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.cupp.device import Device
+from repro.cupp.device import TEARDOWN_ERRORS, Device
 from repro.cupp.exceptions import CuppUsageError
 from repro.simgpu.memory import DevicePtr, NULL_PTR
 
@@ -110,7 +110,7 @@ class DeviceSharedPtr:
         try:
             self.release()
         except Exception:
-            pass
+            TEARDOWN_ERRORS.inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._block is None:

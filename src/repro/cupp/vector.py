@@ -30,6 +30,8 @@ from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.lazy import LazyContainer
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
+_TRACER = obs.get_tracer()
+
 
 class DeviceVector:
     """The device type of :class:`Vector`: ``{pointer, size}`` plus a typed
@@ -302,11 +304,12 @@ class Vector(LazyContainer):
             part._ensure_host(cause="batch-concat")
             arrays.append(part._store[: part._size])
         fused = cls(np.concatenate(arrays), dtype=dtype)
-        obs.instant(
-            "vector.concat",
-            parts=len(parts),
-            nbytes=fused._size * dtype.itemsize,
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "vector.concat",
+                parts=len(parts),
+                nbytes=fused._size * dtype.itemsize,
+            )
         return fused
 
     def split_at(self, *offsets: int) -> "list[Vector]":
@@ -334,11 +337,12 @@ class Vector(LazyContainer):
             Vector(self._store[start:stop].copy(), dtype=self.dtype)
             for start, stop in zip(bounds, bounds[1:])
         ]
-        obs.instant(
-            "vector.split",
-            pieces=len(pieces),
-            nbytes=self._size * self.dtype.itemsize,
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "vector.split",
+                pieces=len(pieces),
+                nbytes=self._size * self.dtype.itemsize,
+            )
         return pieces
 
     # ------------------------------------------------------------------
@@ -456,9 +460,38 @@ class Vector(LazyContainer):
         self._ensure_host()  # read detection (§4.6)
         return self._store[self._check_index(index)].item()
 
-    def __setitem__(self, index: int, value: object) -> None:
+    def __setitem__(self, index: "int | slice", value: object) -> None:
+        if type(index) is slice:
+            self._write_range(index, value)
+            return
+        index = self._check_index(index)  # a rejected write changes nothing
         self._before_host_write()  # write detection (§4.6)
-        self._store[self._check_index(index)] = value
+        self._store[index] = value
+
+    def _write_range(self, index: slice, values: object) -> None:
+        """``v[a:b] = values`` — ``std::copy`` into an existing range.
+
+        Bounds resolve like a Python slice over the current size; the
+        vector never resizes, so ``values`` must be one-dimensional with
+        exactly one element per slot, and the step must be 1.  A
+        rejected write changes nothing.  An accepted one passes write
+        detection (§4.6) once for the whole range, with an element
+        write's effects, and stores with an element store's rounding.
+        """
+        start, stop, step = index.indices(self._size)
+        if step != 1:
+            raise CuppUsageError(
+                f"range writes need a unit step; got step {index.step}"
+            )
+        values = np.asarray(values)
+        count = max(0, stop - start)
+        if values.shape != (count,):
+            raise CuppUsageError(
+                f"range write of shape {values.shape} into {count} elements "
+                f"[{start}:{stop}]; a cupp.Vector range write never resizes"
+            )
+        self._before_host_write()  # write detection (§4.6), once
+        self._store[start:stop] = values
 
     def __iter__(self) -> Iterator:
         self._ensure_host()

@@ -54,6 +54,7 @@ FAULT_POINTS = {
 #: Every fault kind the injector can produce.
 FAULT_KINDS = tuple(k for kinds in FAULT_POINTS.values() for k in kinds)
 
+_TRACER = obs.get_tracer()
 _INJECTED = {
     kind: obs.bind_counter("fault.injected", kind=kind) for kind in FAULT_KINDS
 }
@@ -216,9 +217,10 @@ class FaultInjector:
         self.stats.injected += 1
         self.stats.by_kind[kind] += 1
         _INJECTED[kind].inc()
-        obs.instant(
-            "fault.inject", kind=kind, point=point, device=device_index
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "fault.inject", kind=kind, point=point, device=device_index
+            )
         obs.record_transfer(
             "fault-inject", "none", nbytes, moved=False, label=kind
         )

@@ -137,7 +137,7 @@ class EmulatedBoids:
         )
         pos, fwd = self._host_arrays()
         steer = flocking_np(pos, fwd, neighbors, self.params)
-        self._write_vec3(self.steering, steer)
+        self.steering[:] = steer.reshape(-1)
 
     def _host_modification(self) -> None:
         """Versions 1-4: the modification substage on the host (vectorized
@@ -169,17 +169,12 @@ class EmulatedBoids:
         moving = new_speed > 1e-12
         fwd[moving] = velocity[moving] / new_speed[moving][:, None]
 
-        self._write_vec3(self.positions, pos)
-        self._write_vec3(self.forwards, fwd)
-        self._write_vec3(self.smoothed, smooth)
-        for i, s in enumerate(new_speed):
-            self.speeds[i] = s
-
-    @staticmethod
-    def _write_vec3(vec: Vector, rows: np.ndarray) -> None:
-        flat = rows.astype(np.float32).reshape(-1)
-        for i, v in enumerate(flat):
-            vec[i] = v
+        # One range write per vector: one §4.6 write detection each, and
+        # the float32 store rounds every element as an element store would.
+        self.positions[:] = pos.reshape(-1)
+        self.forwards[:] = fwd.reshape(-1)
+        self.smoothed[:] = smooth.reshape(-1)
+        self.speeds[:] = new_speed
 
     # ------------------------------------------------------------------
     def step(self) -> None:

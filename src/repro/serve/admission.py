@@ -35,6 +35,8 @@ from repro.serve.request import RequestStatus, StepRequest
 #: The recognized backpressure policies.
 POLICIES = ("reject", "shed-oldest", "block")
 
+_TRACER = obs.get_tracer()
+
 #: Outcome name -> its ``repro.serve.requests`` and canonical
 #: ``repro.request.outcome`` counters.
 _OUTCOMES = {
@@ -112,10 +114,11 @@ class AdmissionController:
         if request.expired(now):
             request.status = RequestStatus.EXPIRED
             self._outcome(request, "expired", now)
-            obs.instant(
-                "serve.deadline-miss",
-                **self._request_args(request, where="submit"),
-            )
+            if _TRACER.enabled:
+                _TRACER.instant(
+                    "serve.deadline-miss",
+                    **self._request_args(request, where="submit"),
+                )
             self._note_depth(trace_id)
             return request.status
         if len(self.queue) < self.capacity and not self.blocked:
@@ -123,18 +126,20 @@ class AdmissionController:
         elif self.policy == "reject":
             request.status = RequestStatus.REJECTED
             self._outcome(request, "rejected", now)
-            obs.instant("serve.reject", **self._request_args(request))
+            if _TRACER.enabled:
+                _TRACER.instant("serve.reject", **self._request_args(request))
         elif self.policy == "shed-oldest":
             if len(self.queue) >= self.capacity:
                 victim = self.queue.popleft()
                 victim.status = RequestStatus.SHED
                 self._outcome(victim, "shed", now)
-                obs.instant(
-                    "serve.shed",
-                    **self._request_args(
-                        victim, waited_s=now - (victim.admit_s or now)
-                    ),
-                )
+                if _TRACER.enabled:
+                    _TRACER.instant(
+                        "serve.shed",
+                        **self._request_args(
+                            victim, waited_s=now - (victim.admit_s or now)
+                        ),
+                    )
             self._admit(request, now)
         else:  # block
             request.status = RequestStatus.BLOCKED
@@ -177,10 +182,11 @@ class AdmissionController:
             for request in expired:
                 request.status = RequestStatus.EXPIRED
                 self._outcome(request, "expired", now)
-                obs.instant(
-                    "serve.deadline-miss",
-                    **self._request_args(request, where="dequeue"),
-                )
+                if _TRACER.enabled:
+                    _TRACER.instant(
+                        "serve.deadline-miss",
+                        **self._request_args(request, where="dequeue"),
+                    )
             self.queue.clear()
             self.queue.extend(survivors)
             self._note_depth()

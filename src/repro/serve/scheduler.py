@@ -58,6 +58,7 @@ from repro.serve.sessions import Session
 from repro.simgpu.arch import scaled_arch
 from repro.simgpu.transfer import StreamOp
 
+_TRACER = obs.get_tracer()
 _EVICTIONS = obs.bind_counter("fault.evictions")
 _READMISSIONS = obs.bind_counter("fault.readmissions")
 _LAUNCHES = obs.bind_counter("repro.serve.launches")
@@ -210,9 +211,10 @@ class DeviceScheduler:
         self.inflight_count[device_index] = 0
         self.unhealthy.add(device_index)
         _EVICTIONS.inc()
-        obs.instant(
-            "serve.device-evict", device=device_index, reason=reason
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "serve.device-evict", device=device_index, reason=reason
+            )
         obs.record_transfer(
             "device-evict", "none", 0, moved=False, label=reason
         )
@@ -226,7 +228,8 @@ class DeviceScheduler:
             return False
         self.unhealthy.discard(device_index)
         _READMISSIONS.inc()
-        obs.instant("serve.device-readmit", device=device_index)
+        if _TRACER.enabled:
+            _TRACER.instant("serve.device-readmit", device=device_index)
         return True
 
     def abandon(self, sub: SubBatch) -> None:
@@ -448,8 +451,8 @@ class DeviceScheduler:
                 device.free(staging)
                 for session in cold:
                     session.resident_on = sub.device_index
-            else:
-                obs.instant(
+            elif _TRACER.enabled:
+                _TRACER.instant(
                     "serve.lazy-hit",
                     device=device.name,
                     sessions=len(sub.sessions),

@@ -59,7 +59,7 @@ from repro.cupp.vector import Vector
 from repro.fault import FaultConfig, FaultInjector, InjectedFault
 from repro.obs.monitor import OUTCOME_SERIES
 from repro.serve.admission import AdmissionController
-from repro.serve.batcher import DynamicBatcher
+from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.engine import StepEngine
 from repro.serve.request import RequestStatus, StepRequest
 from repro.serve.scheduler import DeviceScheduler, SubBatch, make_group
@@ -70,6 +70,7 @@ from repro.steer.params import BoidsParams, DEFAULT_PARAMS
 #: small floats; exact equality would drop simultaneous events).
 _EPS = 1e-12
 
+_TRACER = obs.get_tracer()
 _FAILOVERS = obs.bind_counter("fault.failovers")
 _RETRIES = obs.bind_counter("fault.retries")
 _TIMEOUTS = obs.bind_counter("fault.timeouts")
@@ -336,12 +337,13 @@ class SimulationService:
             o.admission_outcome(request, outcome, now)
 
     def _on_alert_fire(self, alert) -> None:
-        obs.instant(
-            "serve.slo-fire",
-            rule=alert.rule,
-            value=alert.value,
-            threshold=alert.threshold,
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "serve.slo-fire",
+                rule=alert.rule,
+                value=alert.value,
+                threshold=alert.threshold,
+            )
         if self._degrade_policy is not None and self._normal_policy is None:
             self._normal_policy = self.admission.policy
             self.admission.policy = self._degrade_policy
@@ -357,7 +359,8 @@ class SimulationService:
             self.batcher.window_s = self._normal_window * 0.25
 
     def _on_alert_clear(self, alert) -> None:
-        obs.instant("serve.slo-clear", rule=alert.rule)
+        if _TRACER.enabled:
+            _TRACER.instant("serve.slo-clear", rule=alert.rule)
         if self._normal_policy is not None and not self.monitor.active:
             self.admission.policy = self._normal_policy
             self._normal_policy = None
@@ -587,9 +590,10 @@ class SimulationService:
         session.restore_checkpoint()
         self.stats.failovers += 1
         _FAILOVERS.inc()
-        obs.instant(
-            "serve.failover", session=session.session_id, reason=reason
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "serve.failover", session=session.session_id, reason=reason
+            )
         obs.record_transfer(
             "failover-restore",
             "none",
@@ -611,12 +615,13 @@ class SimulationService:
                 self.stats.failed += 1
                 for series in _FAILED:
                     series.inc()
-                obs.instant(
-                    "serve.request-failed",
-                    request=request.request_id,
-                    reason=reason,
-                    attempts=request.attempts,
-                )
+                if _TRACER.enabled:
+                    _TRACER.instant(
+                        "serve.request-failed",
+                        request=request.request_id,
+                        reason=reason,
+                        attempts=request.attempts,
+                    )
             else:
                 request.status = RequestStatus.PENDING
                 wake = self.now + self.retry.backoff_for(request.attempts)
@@ -636,12 +641,13 @@ class SimulationService:
         self.stats.timeouts += 1
         self.stats.evictions += 1
         _TIMEOUTS.inc()
-        obs.instant(
-            "serve.batch-timeout",
-            device=sub.device_index,
-            hung=sub.hung,
-            requests=len(sub.requests),
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "serve.batch-timeout",
+                device=sub.device_index,
+                hung=sub.hung,
+                requests=len(sub.requests),
+            )
         self._in_flight.remove(sub)
         # Streams mode pipelines two sub-batches per device, so the
         # evicted device may hold a sibling whose kernels are queued
@@ -652,11 +658,12 @@ class SimulationService:
         ]
         for sib in siblings:
             self._in_flight.remove(sib)
-            obs.instant(
-                "serve.sibling-abandon",
-                device=sib.device_index,
-                requests=len(sib.requests),
-            )
+            if _TRACER.enabled:
+                _TRACER.instant(
+                    "serve.sibling-abandon",
+                    device=sib.device_index,
+                    requests=len(sib.requests),
+                )
         self.scheduler.abandon(sub)
         for sib in siblings:
             self.scheduler.abandon(sib)
@@ -681,11 +688,12 @@ class SimulationService:
         """A timed-out sub-batch's late completion: the device already
         played the work out on its timeline; nothing is fetched."""
         self._zombies.remove(sub)
-        obs.instant(
-            "serve.zombie-complete",
-            device=sub.device_index,
-            requests=len(sub.requests),
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "serve.zombie-complete",
+                device=sub.device_index,
+                requests=len(sub.requests),
+            )
 
     def _launch_ready(self) -> None:
         """Form and launch batches as long as the rule and devices allow."""
@@ -705,52 +713,53 @@ class SimulationService:
             self.admission.on_slots_freed(self.now)
             self.stats.batches += 1
             self.stats.batch_sizes.append(len(batch))
-            with obs.span(
-                "serve.batch", batch=batch.batch_id, size=len(batch)
-            ):
-                for sub in self.scheduler.place(
-                    batch, self.store, free, engine=self.engine
+            if _TRACER.enabled:
+                with _TRACER.span(
+                    "serve.batch", batch=batch.batch_id, size=len(batch)
                 ):
-                    for request, session in zip(sub.requests, sub.sessions):
-                        request.status = RequestStatus.IN_FLIGHT
-                        request.launch_s = self.now
-                        request.batch_id = batch.batch_id
-                        request.device_index = sub.device_index
-                        session.in_flight = True
-                        self._busy_sessions.add(session.session_id)
-                    for o in self.observers:
-                        o.sub_batch_launched(sub, batch.batch_id, self.now)
-                    try:
-                        self.scheduler.launch(sub, self.engine, self.now)
-                    except InjectedFault as fault:
-                        # Transient launch failure / unabsorbed OOM: the
-                        # scheduler unwound the device state; release the
-                        # sessions and send the requests to retry.
-                        self.now = self.scheduler.timelines[
-                            sub.device_index
-                        ].host_time
-                        obs.instant(
-                            "serve.launch-fault",
-                            device=sub.device_index,
-                            kind=fault.kind,
-                        )
-                        self._end_sub(sub, fault.kind)
-                        self._fault_requeue(sub.requests, fault.kind)
-                        continue
-                    # The single host thread serializes dispatch work.
-                    self.now = self.scheduler.timelines[
-                        sub.device_index
-                    ].host_time
-                    if self.injector is not None:
-                        # Watchdog: the schedule's predicted finish
-                        # (injected hang excluded) plus slack — a hang
-                        # overshoots this; nothing healthy does.
-                        sub.timeout_s = (
-                            sub.expected_completion_s
-                            + self.retry.batch_timeout_s
-                        )
-                    self.stats.launches += self.engine.launches_per_batch
-                    self._in_flight.append(sub)
+                    self._launch_batch(batch, free)
+            else:
+                self._launch_batch(batch, free)
+
+    def _launch_batch(self, batch: Batch, free: "list[int]") -> None:
+        """Place one formed batch and launch each of its sub-batches."""
+        for sub in self.scheduler.place(batch, self.store, free, engine=self.engine):
+            for request, session in zip(sub.requests, sub.sessions):
+                request.status = RequestStatus.IN_FLIGHT
+                request.launch_s = self.now
+                request.batch_id = batch.batch_id
+                request.device_index = sub.device_index
+                session.in_flight = True
+                self._busy_sessions.add(session.session_id)
+            for o in self.observers:
+                o.sub_batch_launched(sub, batch.batch_id, self.now)
+            try:
+                self.scheduler.launch(sub, self.engine, self.now)
+            except InjectedFault as fault:
+                # Transient launch failure / unabsorbed OOM: the scheduler
+                # unwound the device state; release the sessions and send
+                # the requests to retry.
+                self.now = self.scheduler.timelines[sub.device_index].host_time
+                if _TRACER.enabled:
+                    _TRACER.instant(
+                        "serve.launch-fault",
+                        device=sub.device_index,
+                        kind=fault.kind,
+                    )
+                self._end_sub(sub, fault.kind)
+                self._fault_requeue(sub.requests, fault.kind)
+                continue
+            # The single host thread serializes dispatch work.
+            self.now = self.scheduler.timelines[sub.device_index].host_time
+            if self.injector is not None:
+                # Watchdog: the schedule's predicted finish (injected
+                # hang excluded) plus slack — a hang overshoots this;
+                # nothing healthy does.
+                sub.timeout_s = (
+                    sub.expected_completion_s + self.retry.batch_timeout_s
+                )
+            self.stats.launches += self.engine.launches_per_batch
+            self._in_flight.append(sub)
 
     def _complete(self, sub: SubBatch) -> None:
         """Fetch, demux, and retire one finished sub-batch."""
@@ -764,11 +773,12 @@ class SimulationService:
             # checkpoint (the device copy is suspect too) and retry.
             self._in_flight.remove(sub)
             _CORRUPTIONS.inc()
-            obs.instant(
-                "serve.result-corrupt",
-                device=sub.device_index,
-                requests=len(sub.requests),
-            )
+            if _TRACER.enabled:
+                _TRACER.instant(
+                    "serve.result-corrupt",
+                    device=sub.device_index,
+                    requests=len(sub.requests),
+                )
             self._end_sub(sub, "result-corrupt")
             for session in sub.sessions:
                 self._restore_session(session, "result-corrupt")

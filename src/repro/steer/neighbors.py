@@ -77,16 +77,27 @@ def neighbor_search_all_pure(
     ).reshape(len(positions), params.max_neighbors)
 
 
-def keep_nearest(d2: np.ndarray, keep: np.ndarray, k: int):
-    """The exact keep-``k`` selection over a dense ``(rows, cols)`` block:
-    per row, the ``k`` smallest ``(d2, column)`` pairs among ``keep``, as
-    ``(order, found)`` — column indexes nearest-first and whether each is
-    a kept candidate.  The stable sort breaks ties by column (argpartition's
-    k-cut would be arbitrary); ``d2`` keeps the caller's float association.
+def rank_nearest(
+    owner: np.ndarray, d2: np.ndarray, j: np.ndarray, rows: int, k: int
+):
+    """The exact keep-``k`` selection over flat candidate triples: per
+    owner row ``0..rows-1``, the ``k`` smallest ``(d2, j)`` pairs among
+    its candidates, as ``(order, found)`` — each ``(rows, k)``, indexes
+    nearest-first and whether the slot holds one (an unfound slot holds
+    0).  Ties on ``d2`` break by index, so the kept set is *the* ``k``
+    lexicographically smallest pairs whatever order the candidates come
+    in; ``d2`` keeps the caller's float association.
     """
-    ranked = np.where(keep, d2, np.inf)
-    order = np.argsort(ranked, axis=1, kind="stable")[:, :k]
-    found = np.take_along_axis(ranked, order, axis=1) < np.inf
+    # Owner-major, then (d2, index): lexsort's primary key is its last.
+    ranked = np.lexsort((j, d2, owner))
+    j, owner = j[ranked], owner[ranked]
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    top = rank < k
+    owner, rank = owner[top], rank[top]
+    order = np.zeros((rows, k), dtype=np.int64)
+    found = np.zeros((rows, k), dtype=bool)
+    order[owner, rank] = j[top]
+    found[owner, rank] = True
     return order, found
 
 
@@ -107,7 +118,6 @@ def neighbor_search_all_numpy(
     r2 = params.search_radius**2
     query = np.arange(n) if rows is None else np.asarray(rows)
     out = np.full((n, k), NO_NEIGHBOR, dtype=np.int64)
-    kk = min(k, n - 1)
     for start in range(0, len(query), block):
         sel = query[start : start + block]
         chunk = positions[sel]
@@ -115,8 +125,9 @@ def neighbor_search_all_numpy(
         d2 = ((chunk[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
         keep = d2 < r2
         keep[np.arange(len(sel)), sel] = False  # exclude self
-        idx, found = keep_nearest(d2, keep, kk)
-        out[sel, :kk] = np.where(found, idx, NO_NEIGHBOR)
+        owner, j = np.nonzero(keep)
+        idx, found = rank_nearest(owner, d2[owner, j], j, len(sel), k)
+        out[sel] = np.where(found, idx, NO_NEIGHBOR)
     return out
 
 

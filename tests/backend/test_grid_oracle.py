@@ -97,7 +97,7 @@ def _device_sets(pos: np.ndarray, version: int, backend: str) -> np.ndarray:
     arch = scaled_arch(f"oracle-{backend}", 2, memory_bytes=1 << 22)
     device = Device(machine=CudaMachine([arch], backend=backend))
     eb = EmulatedBoids(N, version=version, seed=0, device=device)
-    eb._write_vec3(eb.positions, pos)
+    eb.positions[:] = pos.reshape(-1)
     eb.step()
     return eb.neighbor_sets()
 

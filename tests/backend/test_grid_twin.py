@@ -34,7 +34,7 @@ from repro.cupp import Device
 from repro.cupp.containers import HashGrid
 from repro.gpusteer.kernels_emu import MAX_NEIGHBORS, NO_NEIGHBOR
 from repro.steer import DEFAULT_PARAMS
-from repro.steer.neighbors import keep_nearest
+from repro.steer.neighbors import rank_nearest
 
 RADIUS = DEFAULT_PARAMS.search_radius
 R2 = float(RADIUS * RADIUS)
@@ -71,7 +71,10 @@ def _all_pairs(pos: np.ndarray, m: int) -> np.ndarray:
         d2 = (ox * ox + oy * oy) + oz * oz
         keep = d2 < R2
         keep[np.arange(my.shape[0]), np.arange(a, a + my.shape[0])] = False
-        rows.append(_slots(*keep_nearest(d2, keep, MAX_NEIGHBORS)))
+        owner, j = np.nonzero(keep)
+        rows.append(
+            _slots(*rank_nearest(owner, d2[owner, j], j, my.shape[0], MAX_NEIGHBORS))
+        )
     return np.concatenate(rows)
 
 

@@ -9,6 +9,7 @@ from repro.backend.base import (
     normalize_backends,
     resolve_backend,
 )
+from repro import obs
 from repro.backend.native import EwmaCost, NativeDevice
 from repro.common.errors import ConfigurationError
 from repro.cuda import CudaMachine, global_
@@ -133,6 +134,26 @@ class TestNativeExecution:
         out = Vector(np.zeros(4, np.float32), dtype=np.float32)
         Kernel(_double, 1, 4)(dev, src, out)
         np.testing.assert_array_equal(out.to_numpy(), np.full(4, 2.0, np.float32))
+
+    def test_simt_fallback_is_counted_per_kernel(self):
+        obs.reset()
+        dev = Device(backend="native")
+        src = Vector(np.ones(8, np.float32), dtype=np.float32)
+        out = Vector(np.zeros(8, np.float32), dtype=np.float32)
+        for _ in range(2):
+            Kernel(_double, 1, 8)(dev, src, out)
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["backend.simt_fallbacks{kernel=_double}"] == 2
+        obs.reset()
+
+    def test_vectorized_launches_list_no_fallback_series(self):
+        from repro.gpusteer import EmulatedBoids
+
+        obs.reset()
+        EmulatedBoids(32, 5, seed=1, device=Device(backend="native")).step()
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert not any(k.startswith("backend.simt_fallbacks") for k in counters)
+        obs.reset()
 
 
 class TestEwmaCost:

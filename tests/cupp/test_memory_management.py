@@ -1,14 +1,17 @@
-"""Shared pointers and memory1d (§4.2)."""
+"""Shared pointers and memory1d (§4.2), and what finalizers count."""
 
 import copy
+import gc
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cuda import CudaMachine
 from repro.cupp import (
     CuppUsageError,
     Device,
+    DeviceReference,
     DeviceSharedPtr,
     Memory1D,
     make_shared,
@@ -124,3 +127,49 @@ class TestMemory1D:
         mem = Memory1D(dev, np.float32, 8)
         with pytest.raises(Exception, match="host"):
             mem.view()[0]
+
+
+def _teardown_errors() -> "int | None":
+    return obs.get_metrics().snapshot()["counters"].get("cupp.teardown_errors")
+
+
+def _failing_free(*args: object) -> None:
+    raise RuntimeError("driver gone")
+
+
+#: Handle kind -> (make it on ``dev``, the device hook its teardown calls).
+HANDLES = {
+    "DeviceReference": (lambda dev: DeviceReference(dev, 5), "free"),
+    "Memory1D": (lambda dev: Memory1D(dev, np.float32, 8), "free"),
+    "DeviceSharedPtr": (lambda dev: DeviceSharedPtr(dev, 64), "free"),
+    "Device": (lambda dev: dev, "free_all"),
+}
+
+
+class TestTeardownErrors:
+    """A finalizer must not raise; one that fails is counted in
+    ``cupp.teardown_errors``, not swallowed silently."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_obs(self):
+        gc.collect()
+        obs.reset()
+        yield
+        obs.reset()
+
+    @pytest.mark.parametrize("kind", sorted(HANDLES))
+    def test_failing_finalizer_is_counted(self, dev, kind, monkeypatch):
+        make, hook = HANDLES[kind]
+        handle = make(dev)
+        owner = dev.runtime.device.memory if hook == "free_all" else dev
+        monkeypatch.setattr(owner, hook, _failing_free)
+        handle.__del__()  # what the garbage collector calls
+        assert _teardown_errors() == 1
+        monkeypatch.undo()
+        dev.close()
+
+    @pytest.mark.parametrize("kind", sorted(HANDLES))
+    def test_clean_finalizer_lists_no_series(self, dev, kind):
+        make, _hook = HANDLES[kind]
+        make(dev).__del__()
+        assert _teardown_errors() is None

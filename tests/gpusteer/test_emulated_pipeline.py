@@ -4,6 +4,7 @@ the transfer behaviour that motivates CuPP's lazy copying."""
 import numpy as np
 import pytest
 
+from repro.cupp import Device, Vector
 from repro.gpusteer import EmulatedBoids
 from repro.steer import DEFAULT_PARAMS, ReferenceSimulation
 
@@ -92,6 +93,24 @@ class TestLazyCopyingBehaviour:
         eb.step()
         _ = eb.snapshot()
         assert eb.positions.downloads == 1
+
+    def test_v2_host_stage_writes_each_vector_as_one_range(self, monkeypatch):
+        # The host stage writes steering, positions, forwards, smoothed
+        # and speeds: one range write (one §4.6 write detection) each,
+        # not one element write per float (3,328 at n=256).
+        eb = EmulatedBoids(256, version=2, seed=11, device=Device(backend="native"))
+        eb.step()  # warm-up: the first step uploads every vector
+        calls = []
+        setitem = Vector.__setitem__
+
+        def counted(vec, index, value):
+            calls.append(index)
+            setitem(vec, index, value)
+
+        monkeypatch.setattr(Vector, "__setitem__", counted)
+        eb.step()
+        assert len(calls) <= 5
+        assert all(isinstance(index, slice) for index in calls)
 
 
 class TestValidation:

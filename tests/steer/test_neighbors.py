@@ -14,6 +14,7 @@ from repro.steer import (
     neighbor_search_all_pure,
     neighbor_search_pure,
 )
+from repro.steer.neighbors import rank_nearest
 
 PARAMS = BoidsParams()
 
@@ -137,3 +138,44 @@ class TestEngineEquivalence:
         b = neighbor_search_all(pts, PARAMS, engine="kdtree", rows=cohort)
         for i in cohort:
             assert set(a[i]) == set(b[i])
+
+
+class TestRankNearest:
+    """The one keep-7 ranker every engine and twin uses, against a
+    pure-Python ``sorted((d2, j))[:7]`` per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=30
+        ),
+        st.lists(st.integers(0, 29), max_size=10),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_sorted_reference(self, lattice, copies, rnd):
+        # A coarse lattice plus duplicated points: tied distances
+        # everywhere, including across the seventh slot.
+        pts = lattice + [lattice[c % len(lattice)] for c in copies]
+        pos = np.array(pts, dtype=np.float64)
+        n = pos.shape[0]
+        d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+        owner, j = np.nonzero((d2 < 4.5) & ~np.eye(n, dtype=bool))
+        # Candidate order must not matter (the grid twin's is arbitrary).
+        shuffle = list(range(owner.size))
+        rnd.shuffle(shuffle)
+        owner, j = owner[shuffle], j[shuffle]
+        order, found = rank_nearest(owner, d2[owner, j], j, n, 7)
+        assert order.shape == found.shape == (n, 7)
+        for i in range(n):
+            expected = sorted(
+                (d2[i, c], c) for c in range(n) if c != i and d2[i, c] < 4.5
+            )[:7]
+            assert order[i][found[i]].tolist() == [c for _, c in expected]
+            assert not found[i][len(expected):].any()
+            assert (order[i][~found[i]] == 0).all()
+
+    def test_no_candidates(self):
+        empty = np.zeros(0, dtype=np.int64)
+        order, found = rank_nearest(empty, np.zeros(0), empty, 3, 7)
+        assert order.shape == (3, 7)
+        assert not found.any()
