@@ -36,6 +36,10 @@ from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
 _MASK64 = (1 << 64) - 1
 
+# The probe loop's interned multi-issue events (see repro.simgpu.isa).
+_IADD2 = dl.iadd(2)
+_COMPARE2 = dl.compare(2)
+
 #: The reserved empty-slot marker.  Grid cell keys use at most 63 bits
 #: (see :mod:`repro.cupp.containers.hashgrid`), so the all-ones key can
 #: never collide with a real key.
@@ -113,18 +117,18 @@ def device_map_get(fmap: DeviceFlatMap, key: int, default: int = NOT_FOUND):
     """
     mask = fmap.capacity - 1
     slot = mix64(key) & mask
-    yield dl.iadd(2)  # hash fold + mask
+    yield _IADD2  # hash fold + mask
     while True:
         stored = yield ld(fmap.keys, slot)
-        yield dl.compare(2)  # empty? match?
-        yield dl.branch()
+        yield _COMPARE2  # empty? match?
+        yield dl.BRANCH
         if stored == EMPTY_KEY:
             return default
         if stored == key:
             value = yield ld(fmap.vals, slot)
             return int(value)
         slot = (slot + 1) & mask
-        yield dl.iadd()
+        yield dl.IADD
 
 
 class FlatMap(HostBuiltContainer):

@@ -23,6 +23,7 @@ from repro.cupp.exceptions import CuppUsageError
 from repro.simgpu.memory import DevicePtr, NULL_PTR
 
 _LIVE = obs.bind_gauge("cupp.shared_ptr.live")
+_TRACER = obs.get_tracer()
 
 
 @dataclass
@@ -41,9 +42,10 @@ class DeviceSharedPtr:
             device, device.alloc(nbytes), 1
         )
         _LIVE.inc()
-        obs.instant(
-            "shared_ptr.alloc", nbytes=nbytes, addr=self._block.ptr.addr
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "shared_ptr.alloc", nbytes=nbytes, addr=self._block.ptr.addr
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -56,9 +58,10 @@ class DeviceSharedPtr:
         """Another pointer to the same allocation (boost copy semantics)."""
         block = self._require_block()
         block.count += 1
-        obs.instant(
-            "shared_ptr.clone", addr=block.ptr.addr, use_count=block.count
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "shared_ptr.clone", addr=block.ptr.addr, use_count=block.count
+            )
         return DeviceSharedPtr._from_block(block)
 
     def __copy__(self) -> "DeviceSharedPtr":
@@ -95,9 +98,10 @@ class DeviceSharedPtr:
         if block is None:
             return
         block.count -= 1
-        obs.instant(
-            "shared_ptr.release", addr=block.ptr.addr, use_count=block.count
-        )
+        if _TRACER.enabled:
+            _TRACER.instant(
+                "shared_ptr.release", addr=block.ptr.addr, use_count=block.count
+            )
         if block.count == 0 and block.ptr:
             _LIVE.dec()
             try:

@@ -456,9 +456,32 @@ class Vector(LazyContainer):
             raise IndexError(f"index {index} out of range for size {self._size}")
         return index
 
-    def __getitem__(self, index: int) -> object:
+    def __getitem__(self, index: "int | slice") -> object:
+        if type(index) is slice:
+            return self._read_range(index)
+        index = self._check_index(index)  # a rejected read downloads nothing
         self._ensure_host()  # read detection (§4.6)
-        return self._store[self._check_index(index)].item()
+        return self._store[index].item()
+
+    def _read_range(self, index: slice) -> np.ndarray:
+        """``v[a:b]`` — a read-only copy of an existing range.
+
+        The read twin of :meth:`_write_range`: bounds resolve like a
+        Python slice over the current size and the step must be 1.  A
+        rejected read downloads nothing.  An accepted one passes read
+        detection (§4.6) once for the whole range, with an element
+        read's effects, and returns a read-only copy (a view would let
+        writes bypass detection, as :meth:`to_numpy` explains).
+        """
+        start, stop, step = index.indices(self._size)
+        if step != 1:
+            raise CuppUsageError(
+                f"range reads need a unit step; got step {index.step}"
+            )
+        self._ensure_host()  # read detection (§4.6), once
+        out = self._store[start:stop].copy()
+        out.flags.writeable = False
+        return out
 
     def __setitem__(self, index: "int | slice", value: object) -> None:
         if type(index) is slice:

@@ -35,8 +35,11 @@ from dataclasses import dataclass
 from repro import obs
 from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpusteer.versions import DRAW_MATRIX_BYTES, update_time
+from repro.obs import NULL_SPAN
 from repro.simgpu.transfer import DeviceTimeline
 from repro.steer.params import BoidsParams
+
+_TRACER = obs.get_tracer()
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,15 @@ def simulate_frames(
         # are enqueued asynchronously; input transfers block the host
         # (pageable cudaMemcpy, §2.2) and already include their per-call
         # overheads from the version cost model.
-        with obs.span(
-            "db.update",
-            host_compute_s=update.host_compute_s,
-            transfer_s=update.transfer_s,
-            gpu_kernel_s=update.gpu_kernel_s,
+        with (
+            _TRACER.span(
+                "db.update",
+                host_compute_s=update.host_compute_s,
+                transfer_s=update.transfer_s,
+                gpu_kernel_s=update.gpu_kernel_s,
+            )
+            if _TRACER.enabled
+            else NULL_SPAN
         ):
             tl.host_work(update.host_compute_s)
             if update.transfer_s:
@@ -132,8 +139,12 @@ def simulate_frames(
             tl.record_event(update_done, compute)
 
     def fetch_draw_data() -> None:
-        with obs.span(
-            "db.fetch_draw", nbytes=matrix_bytes, gl_interop=gl_interop
+        with (
+            _TRACER.span(
+                "db.fetch_draw", nbytes=matrix_bytes, gl_interop=gl_interop
+            )
+            if _TRACER.enabled
+            else NULL_SPAN
         ):
             if gl_interop:
                 # Map/unmap a registered buffer object: synchronize, no copy.
@@ -169,8 +180,10 @@ def simulate_frames(
                 )
 
     def draw() -> None:
-        with obs.span(
-            "db.draw", host_s=draw_host, render_s=draw_render
+        with (
+            _TRACER.span("db.draw", host_s=draw_host, render_s=draw_render)
+            if _TRACER.enabled
+            else NULL_SPAN
         ):
             tl.host_work(draw_host)
             # Rendering occupies the device itself: queue it like a
@@ -180,7 +193,11 @@ def simulate_frames(
     if not double_buffered:
         loop_start = tl.host_time
         for frame in range(frames):
-            with obs.span("db.frame", frame=frame, double_buffered=False):
+            with (
+                _TRACER.span("db.frame", frame=frame, double_buffered=False)
+                if _TRACER.enabled
+                else NULL_SPAN
+            ):
                 device_update()
                 fetch_draw_data()
                 draw()
@@ -192,7 +209,11 @@ def simulate_frames(
         tl.stream_synchronize(copy)  # step 0's matrices before first draw
         loop_start = tl.host_time
         for frame in range(frames):
-            with obs.span("db.frame", frame=frame, double_buffered=True):
+            with (
+                _TRACER.span("db.frame", frame=frame, double_buffered=True)
+                if _TRACER.enabled
+                else NULL_SPAN
+            ):
                 device_update()  # step n+1 starts while we draw step n
                 draw()
                 tl.record_event(frame_done, compute)

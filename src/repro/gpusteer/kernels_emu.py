@@ -38,6 +38,13 @@ MAX_NEIGHBORS = 7
 
 NO_NEIGHBOR = -1
 
+# Interned multi-issue events these kernels yield besides devicelib's
+# (see repro.simgpu.isa: built once here, not per instruction).
+_COMPARE2 = dl.compare(2)
+_IADD2 = dl.iadd(2)
+_FMUL4 = op(OpClass.FMUL, 4)
+_FMUL6 = op(OpClass.FMUL, 6)
+
 
 # ----------------------------------------------------------------------
 # building blocks
@@ -58,20 +65,20 @@ def _insert_neighbor(best: list, d2: float, j: int):
     random positions, so the index tiebreak changes no instruction
     count and no non-degenerate result.
     """
-    yield dl.compare()  # neighbors_found < 7 ?
-    yield dl.branch()
+    yield dl.COMPARE  # neighbors_found < 7 ?
+    yield dl.BRANCH
     if len(best) < MAX_NEIGHBORS:
         best.append((d2, j))
-        yield dl.iadd()  # ++neighbors_found
+        yield dl.IADD  # ++neighbors_found
     else:
         # Scan the 7 slots for the farthest stored neighbor.
         worst = 0
         for k in range(1, MAX_NEIGHBORS):
-            yield dl.compare()
+            yield dl.COMPARE
             if best[k] > best[worst]:
                 worst = k
-        yield dl.compare()  # (d2, index)(worst) > (d2, index)(new) ?
-        yield dl.branch()
+        yield dl.COMPARE  # (d2, index)(worst) > (d2, index)(new) ?
+        yield dl.BRANCH
         if best[worst] > (d2, j):
             best[worst] = (d2, j)
 
@@ -83,8 +90,8 @@ def _candidate_test(my_pos, other_pos, r2: float, j: int, my_index: int):
     """
     offset = yield from dl.sub3(my_pos, other_pos)
     d2 = yield from dl.length_squared3(offset)
-    yield dl.compare(2)  # d2 < r2 && global_index != my_index
-    yield dl.branch()
+    yield _COMPARE2  # d2 < r2 && global_index != my_index
+    yield dl.BRANCH
     return (d2 < r2 and j != my_index), d2
 
 
@@ -102,14 +109,14 @@ def _flocking_steering(my_fwd, gathered, forwards_view, weights):
     for d2, j, offset in gathered:
         inv = yield from dl.rsqrt(d2)
         # separation -= offset.normalize() / length  == offset / d2
-        yield op(OpClass.FMUL)  # inv * inv
+        yield dl.FMUL  # inv * inv
         contrib = yield from dl.scale3(offset, inv * inv)
         sep = yield from dl.sub3(sep, contrib)
         coh = yield from dl.add3(coh, offset)
         fwd_j = yield from dl.ld_vec3(forwards_view, j)
         ali_sum = yield from dl.add3(ali_sum, fwd_j)
         count += 1
-        yield dl.iadd()
+        yield dl.IADD
     yield reconv()  # neighbor counts differ per thread; re-join here
     scaled_fwd = yield from dl.scale3(my_fwd, float(count))
     ali = yield from dl.sub3(ali_sum, scaled_fwd)
@@ -151,12 +158,12 @@ def find_neighbors_v1(
     i = ctx.global_thread_id
     n = len(positions) // 3
     my_pos = yield from dl.ld_vec3(positions.view, i)
-    yield op(OpClass.FMUL)  # r2 = search_radius * search_radius
+    yield dl.FMUL  # r2 = search_radius * search_radius
     r2 = search_radius * search_radius
     best: list = []
     for j in range(n):
-        yield dl.compare()  # loop condition
-        yield dl.iadd()  # ++j
+        yield dl.COMPARE  # loop condition
+        yield dl.IADD  # ++j
         other = yield from dl.ld_vec3(positions.view, j)
         in_radius, d2 = yield from _candidate_test(my_pos, other, r2, j, i)
         if in_radius:
@@ -185,21 +192,21 @@ def find_neighbors_v2(
     s_positions = ctx.shared_array("s_positions", np.float32, tpb * 3)
 
     my_pos = yield from dl.ld_vec3(positions.view, i)
-    yield op(OpClass.FMUL)
+    yield dl.FMUL
     r2 = search_radius * search_radius
     best: list = []
     for base in range(0, n, tpb):
-        yield dl.compare()
-        yield dl.iadd()
+        yield dl.COMPARE
+        yield dl.IADD
         # Each thread stages one element of the tile (listing 6.2 line 8).
         staged = yield from dl.ld_vec3(positions.view, base + ctx.thread_idx.x)
         yield from dl.sts_vec3(s_positions, ctx.thread_idx.x, staged)
         yield sync()
         for t in range(tpb):
-            yield dl.compare()
-            yield dl.iadd()
+            yield dl.COMPARE
+            yield dl.IADD
             j = base + t
-            yield dl.iadd()  # global_index = base + i (listing 6.3)
+            yield dl.IADD  # global_index = base + i (listing 6.3)
             other = yield from dl.lds_vec3(s_positions, t)
             in_radius, d2 = yield from _candidate_test(my_pos, other, r2, j, i)
             if in_radius:
@@ -216,8 +223,11 @@ def find_neighbors_v2(
 # memory, which spills to device memory; v4 recomputes them instead and
 # turned out faster on the G80.
 # ----------------------------------------------------------------------
-def _simulate_common(ctx, positions, forwards, search_radius, weights, cache):
-    """Shared v3/v4 body.  ``cache`` selects the local-memory variant."""
+def _simulate_common(
+    ctx, positions, forwards, search_radius, weights, steering_out, cache
+):
+    """Shared v3/v4 body, through the steering store.  ``cache`` selects
+    the local-memory variant."""
     i = ctx.global_thread_id
     tpb = ctx.block_dim.x
     n = len(positions) // 3
@@ -230,18 +240,18 @@ def _simulate_common(ctx, positions, forwards, search_radius, weights, cache):
 
     my_pos = yield from dl.ld_vec3(positions.view, i)
     my_fwd = yield from dl.ld_vec3(forwards.view, i)
-    yield op(OpClass.FMUL)
+    yield dl.FMUL
     r2 = search_radius * search_radius
     best: list = []
     for base in range(0, n, tpb):
-        yield dl.compare()
-        yield dl.iadd()
+        yield dl.COMPARE
+        yield dl.IADD
         staged = yield from dl.ld_vec3(positions.view, base + ctx.thread_idx.x)
         yield from dl.sts_vec3(s_positions, ctx.thread_idx.x, staged)
         yield sync()
         for t in range(tpb):
-            yield dl.compare()
-            yield dl.iadd(2)
+            yield dl.COMPARE
+            yield _IADD2
             j = base + t
             other = yield from dl.lds_vec3(s_positions, t)
             in_radius, d2 = yield from _candidate_test(my_pos, other, r2, j, i)
@@ -254,7 +264,7 @@ def _simulate_common(ctx, positions, forwards, search_radius, weights, cache):
                     # are 4 spilled float stores (Table 2.1).
                     slot = best.index((d2, j))
                     yield st(local_cache, slot * 4, d2)
-                    yield op(OpClass.FADD, 3)  # offset = other - my_pos
+                    yield dl.FADD3  # offset = other - my_pos
                     yield st(local_cache, slot * 4 + 1, other[0] - my_pos[0])
                     yield st(local_cache, slot * 4 + 2, other[1] - my_pos[1])
                     yield st(local_cache, slot * 4 + 3, other[2] - my_pos[2])
@@ -285,7 +295,7 @@ def _simulate_common(ctx, positions, forwards, search_radius, weights, cache):
     steering = yield from _flocking_steering(
         my_fwd, gathered, forwards.view, weights
     )
-    return i, best, steering
+    yield from dl.st_vec3(steering_out.view, i, steering)
 
 
 @global_
@@ -300,11 +310,20 @@ def simulate_v3(
     steering_out: Ref[DeviceVector],
 ):
     """Version 3: the full simulation substage with the per-neighbor
-    cache in (spilled) local memory (§6.2.2)."""
-    i, _best, steering = yield from _simulate_common(
-        ctx, positions, forwards, search_radius, (w_sep, w_ali, w_coh), True
+    cache in (spilled) local memory (§6.2.2).
+
+    Returns the shared body's generator itself rather than wrapping it in
+    ``yield from``, which would add a frame to every event it yields.
+    """
+    return _simulate_common(
+        ctx,
+        positions,
+        forwards,
+        search_radius,
+        (w_sep, w_ali, w_coh),
+        steering_out,
+        cache=True,
     )
-    yield from dl.st_vec3(steering_out.view, i, steering)
 
 
 @global_
@@ -319,11 +338,19 @@ def simulate_v4(
     steering_out: Ref[DeviceVector],
 ):
     """Version 4: the full simulation substage, recomputing neighbor
-    data instead of caching it — the variant that won on the G80."""
-    i, _best, steering = yield from _simulate_common(
-        ctx, positions, forwards, search_radius, (w_sep, w_ali, w_coh), False
+    data instead of caching it — the variant that won on the G80.
+
+    Like :func:`simulate_v3`, returns the shared body's generator.
+    """
+    return _simulate_common(
+        ctx,
+        positions,
+        forwards,
+        search_radius,
+        (w_sep, w_ali, w_coh),
+        steering_out,
+        cache=False,
     )
-    yield from dl.st_vec3(steering_out.view, i, steering)
 
 
 # ----------------------------------------------------------------------
@@ -363,18 +390,18 @@ def modify_kernel(
     steer = yield from dl.ld_vec3(steering.view, i)
     # Clip the steering force to max_force (truncate_length).
     f2 = yield from dl.length_squared3(steer)
-    yield dl.compare()
-    yield dl.branch()  # division-through-zero guard (§6.3.1)
+    yield dl.COMPARE
+    yield dl.BRANCH  # division-through-zero guard (§6.3.1)
     if f2 > max_force * max_force:
         inv = yield from dl.rsqrt(f2)
-        yield op(OpClass.FMUL)
+        yield dl.FMUL
         steer = yield from dl.scale3(steer, max_force * inv)
     yield reconv()
-    yield op(OpClass.FMUL, 3)  # accel = force / mass
+    yield dl.FMUL3  # accel = force / mass
     accel = (steer[0] / mass, steer[1] / mass, steer[2] / mass)
 
-    yield dl.compare()
-    yield dl.branch()  # "prevent calculation not needed in the first step"
+    yield dl.COMPARE
+    yield dl.BRANCH  # "prevent calculation not needed in the first step"
     if step_index == 0:
         smooth = accel
     else:
@@ -395,16 +422,16 @@ def modify_kernel(
     velocity = yield from dl.add3(vel_base, delta)
 
     v2 = yield from dl.length_squared3(velocity)
-    yield dl.compare()
-    yield dl.branch()
+    yield dl.COMPARE
+    yield dl.BRANCH
     if v2 > max_speed * max_speed:
         inv = yield from dl.rsqrt(v2)
-        yield op(OpClass.FMUL)
+        yield dl.FMUL
         velocity = yield from dl.scale3(velocity, max_speed * inv)
         new_speed = max_speed
     else:
         inv = yield from dl.rsqrt(v2)
-        yield op(OpClass.FMUL)
+        yield dl.FMUL
         new_speed = v2 * inv  # sqrt(v2)
     yield reconv()
 
@@ -413,18 +440,18 @@ def modify_kernel(
     pos = yield from dl.add3(pos, step_vec)
     # Spherical world wrap (§5.1).
     p2 = yield from dl.length_squared3(pos)
-    yield dl.compare()
-    yield dl.branch()
+    yield dl.COMPARE
+    yield dl.BRANCH
     if p2 > world_r * world_r:
-        yield op(OpClass.FMUL, 3)
+        yield dl.FMUL3
         pos = (-pos[0], -pos[1], -pos[2])
     yield reconv()
     yield from dl.st_vec3(positions.view, i, pos)
 
-    yield dl.compare()
-    yield dl.branch()  # division-through-zero guard
+    yield dl.COMPARE
+    yield dl.BRANCH  # division-through-zero guard
     if new_speed > 1e-12:
-        yield op(OpClass.FMUL, 4)
+        yield _FMUL4
         fwd = (
             velocity[0] / new_speed,
             velocity[1] / new_speed,
@@ -436,18 +463,18 @@ def modify_kernel(
 
     # Build the 4x4 draw matrix — the only data the host reads back (§6.2.3).
     up_hint = (0.0, 1.0, 0.0) if abs(fwd[1]) < 0.99 else (1.0, 0.0, 0.0)
-    yield dl.compare()
-    yield dl.branch()
-    yield op(OpClass.FMUL, 6)
-    yield op(OpClass.FADD, 3)  # cross product
+    yield dl.COMPARE
+    yield dl.BRANCH
+    yield _FMUL6
+    yield dl.FADD3  # cross product
     side = (
         fwd[1] * up_hint[2] - fwd[2] * up_hint[1],
         fwd[2] * up_hint[0] - fwd[0] * up_hint[2],
         fwd[0] * up_hint[1] - fwd[1] * up_hint[0],
     )
     side = yield from dl.normalize3(side)
-    yield op(OpClass.FMUL, 6)
-    yield op(OpClass.FADD, 3)
+    yield _FMUL6
+    yield dl.FADD3
     up = (
         side[1] * fwd[2] - side[2] * fwd[1],
         side[2] * fwd[0] - side[0] * fwd[2],

@@ -46,6 +46,13 @@ from repro.gpusteer.kernels_emu import (
     _write_results,
 )
 
+# Interned multi-issue events of the grid query (built once, see
+# repro.simgpu.isa).
+_MINMAX6 = op(OpClass.MINMAX, 6)
+_IADD3 = dl.iadd(3)
+_COMPARE3 = dl.compare(3)
+_IADD4 = dl.iadd(4)
+
 
 def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
     """The shared query pass: keep-7 over the 27-cell neighborhood.
@@ -56,9 +63,9 @@ def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
     lexicographic insert the kept set does not depend on it anyway.
     """
     # Locate my cell (float64 divide + floor + bias/clamp per axis).
-    yield op(OpClass.FMUL, 3)
-    yield op(OpClass.FADD, 3)
-    yield op(OpClass.MINMAX, 6)
+    yield dl.FMUL3
+    yield dl.FADD3
+    yield _MINMAX6
     cx = axis_cell(my_pos[0], grid.cell_edge)
     cy = axis_cell(my_pos[1], grid.cell_edge)
     cz = axis_cell(my_pos[2], grid.cell_edge)
@@ -67,8 +74,8 @@ def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dz in (-1, 0, 1):
-                yield dl.iadd(3)
-                yield dl.compare(3)
+                yield _IADD3
+                yield _COMPARE3
                 x, y, z = cx + dx, cy + dy, cz + dz
                 if not (
                     0 <= x <= _AXIS_MAX
@@ -78,21 +85,21 @@ def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
                     yield reconv()
                     continue
                 # Pack the neighbor cell key (two shifts + two ors).
-                yield dl.iadd(4)
+                yield _IADD4
                 key = (
                     (x << (2 * CELL_KEY_BITS)) | (y << CELL_KEY_BITS) | z
                 )
                 segment = yield from device_map_get(grid.cells, key)
-                yield dl.compare()
-                yield dl.branch()
+                yield dl.COMPARE
+                yield dl.BRANCH
                 if segment < 0:
                     yield reconv()
                     continue
                 start = yield ld(grid.starts, segment)
                 stop = yield ld(grid.starts, segment + 1)
                 for slot in range(start, stop):
-                    yield dl.compare()
-                    yield dl.iadd()
+                    yield dl.COMPARE
+                    yield dl.IADD
                     j = yield ld(grid.members, slot)
                     other = yield from dl.ld_vec3(positions_view, j)
                     in_radius, d2 = yield from _candidate_test(
@@ -117,7 +124,7 @@ def find_neighbors_hash(
     hash grid's 27-cell neighborhood."""
     i = ctx.global_thread_id
     my_pos = yield from dl.ld_vec3(positions.view, i)
-    yield op(OpClass.FMUL)
+    yield dl.FMUL
     r2 = search_radius * search_radius
     best = yield from _grid_scan(grid, positions.view, my_pos, r2, i)
     yield from _write_results(results.view, i, best)
@@ -142,7 +149,7 @@ def simulate_grid(
     i = ctx.global_thread_id
     my_pos = yield from dl.ld_vec3(positions.view, i)
     my_fwd = yield from dl.ld_vec3(forwards.view, i)
-    yield op(OpClass.FMUL)
+    yield dl.FMUL
     r2 = search_radius * search_radius
     best = yield from _grid_scan(grid, positions.view, my_pos, r2, i)
     yield from _write_results(results.view, i, best)

@@ -26,8 +26,11 @@ from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpusteer.cost_model import WorkloadStats
 from repro.gpusteer.double_buffer import compare as compare_double_buffering
 from repro.gpusteer.versions import UpdateBreakdown, update_time
+from repro.obs import NULL_SPAN
 from repro.steer.params import BoidsParams, DEFAULT_PARAMS
 from repro.steer.simulation import Simulation
+
+_TRACER = obs.get_tracer()
 
 
 @dataclass
@@ -64,11 +67,19 @@ class GpuBoidsRun:
     def run(self, steps: int = 10, measure_stats: bool = True) -> RunResult:
         """Advance ``steps`` frames; model the steady-state update rate
         from the final (clustered) configuration."""
-        with obs.span(
-            "gpusteer.run", version=self.version, n=self.sim.n, steps=steps
+        with (
+            _TRACER.span(
+                "gpusteer.run", version=self.version, n=self.sim.n, steps=steps
+            )
+            if _TRACER.enabled
+            else NULL_SPAN
         ) as span:
             for step in range(steps):
-                with obs.span("gpusteer.step", step=step):
+                with (
+                    _TRACER.span("gpusteer.step", step=step)
+                    if _TRACER.enabled
+                    else NULL_SPAN
+                ):
                     self.sim.update()
             if measure_stats:
                 stats = WorkloadStats.measure(self.sim.positions, self.params)
@@ -105,18 +116,21 @@ def version_ladder(
     """Fig. 6.2's dataset: one run per development version, including the
     CPU baseline as version 0, all on the same measured flock."""
     sim = Simulation(n, params, seed=seed, engine="auto", cpu_model=calib.cpu_model())
-    with obs.span("gpusteer.version_ladder", n=n, steps=steps):
+    with (
+        _TRACER.span("gpusteer.version_ladder", n=n, steps=steps)
+        if _TRACER.enabled
+        else NULL_SPAN
+    ):
         for _ in range(steps):
             sim.update()
         stats = WorkloadStats.measure(sim.positions, params)
     out: dict[int, RunResult] = {}
     for version in range(6):
         breakdown = update_time(version, n, params, stats, calib)
-        tracer = obs.get_tracer()
-        if tracer.enabled:
+        if _TRACER.enabled:
             # One span per ladder rung, carrying the Fig. 6.2 breakdown
             # so the version story is reconstructible from a trace.
-            with tracer.span(
+            with _TRACER.span(
                 f"gpusteer.version:{version}",
                 n=n,
                 updates_per_second=breakdown.updates_per_second,

@@ -219,12 +219,31 @@ class ThreadBlock:
 
     # ------------------------------------------------------------------
     def run(self, profile: InstructionProfile) -> None:
-        """Execute the block to completion, enforcing barrier semantics."""
+        """Execute the block to completion, enforcing barrier semantics.
+
+        Each pass steps every warp one round.  The block can only stall —
+        every live thread parked at the barrier, or none left — after a
+        round in which some thread arrived at the barrier or exited, so
+        the barrier, deadlock and exit checks run only after such a round
+        (a warp flags it in ``Warp.stopped``).  A pass happens exactly
+        when some thread can still advance, as if the checks ran before
+        every pass: the warps see the same rounds either way.
+        """
         threads, warps = self._threads, self.warps
         for w in warps:
             if w.threads:
                 profile.warps_launched += 1
+        if not threads:
+            return
         while True:
+            stopped = False
+            for w in warps:
+                w.step_round(profile)
+                if w.stopped:
+                    w.stopped = False
+                    stopped = True
+            if not stopped:
+                continue  # every thread that could advance still can
             live = [t for t in threads if t.state is not _DONE]
             if not live:
                 return
@@ -240,6 +259,3 @@ class ThreadBlock:
                     )
                 for t in live:
                     t.state = _RUNNABLE
-                continue
-            for w in warps:
-                w.step_round(profile)

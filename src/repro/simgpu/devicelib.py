@@ -10,6 +10,18 @@ Each helper yields the instruction events the G80 would execute for the
 operation and *returns* the computed value, so cycle accounting and the
 actual arithmetic can never disagree.  Values are plain Python tuples of
 floats — registers, in hardware terms (cost 0 to access, Table 2.2).
+
+The arithmetic events the helpers issue are interned ``OpEvent`` module
+constants (:data:`FADD3`, :data:`FMUL`, :data:`FMAD2`, :data:`RSQRT`,
+:data:`COMPARE`, ...), built once by :func:`repro.simgpu.isa.op` at import.
+A helper yields the constant, so an instruction costs one ``yield`` and no
+lookup; kernels may yield them too (``yield dl.COMPARE``).  They are the
+very objects ``op()`` returns, so a lane yielding ``dl.FADD3`` and a lane
+yielding ``op(OpClass.FADD, 3)`` execute the same instruction.
+
+The memory helpers (``ld_vec3``, ``sts_vec3``, ...) coerce the element
+index with ``int()`` once and then build the three per-yield memory
+events directly, as :mod:`repro.simgpu.isa` allows for a coerced index.
 """
 
 from __future__ import annotations
@@ -18,47 +30,82 @@ import math
 from typing import Generator
 
 from repro.simgpu.costs import OpClass
-from repro.simgpu.isa import OpEvent, ld, lds, op, st, sts
+from repro.simgpu.isa import (
+    GlobalReadEvent,
+    GlobalWriteEvent,
+    OpEvent,
+    SharedReadEvent,
+    SharedWriteEvent,
+    ld,
+    ldc,
+    ldt,
+    op,
+)
 from repro.simgpu.memory import DeviceArrayView, SharedArrayView
 
 Vec = tuple[float, float, float]
 
 ZERO3: Vec = (0.0, 0.0, 0.0)
 
+# The interned arithmetic events the helpers (and the Boids kernels) issue.
+#: Three FADDs: a 3-vector add or subtract.
+FADD3 = op(OpClass.FADD, 3)
+#: One FMUL.
+FMUL = op(OpClass.FMUL)
+#: Three FMULs: a 3-vector scale.
+FMUL3 = op(OpClass.FMUL, 3)
+#: Two FMADs: the tail of a dot product.
+FMAD2 = op(OpClass.FMAD, 2)
+#: One reciprocal square root (Table 2.2: 16 cycles).
+RSQRT = op(OpClass.RSQRT)
+#: One comparison (loop conditions, radius tests).
+COMPARE = op(OpClass.COMPARE)
+#: One integer add (loop counters, index math).
+IADD = op(OpClass.IADD)
+#: One control-flow instruction.
+BRANCH = op(OpClass.BRANCH)
+
+_TRANSCENDENTAL = op(OpClass.TRANSCENDENTAL)
+_RCP = op(OpClass.RCP)
+_CONVERT = op(OpClass.CONVERT)
+_MINMAX = op(OpClass.MINMAX)
+
 
 def add3(a: Vec, b: Vec) -> Generator:
     """Component-wise addition: 3 FADD."""
-    yield op(OpClass.FADD, 3)
+    yield FADD3
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def sub3(a: Vec, b: Vec) -> Generator:
     """Component-wise subtraction: 3 FADD."""
-    yield op(OpClass.FADD, 3)
+    yield FADD3
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def scale3(a: Vec, s: float) -> Generator:
     """Scalar multiply: 3 FMUL."""
-    yield op(OpClass.FMUL, 3)
+    yield FMUL3
     return (a[0] * s, a[1] * s, a[2] * s)
 
 
 def dot3(a: Vec, b: Vec) -> Generator:
     """Dot product: 1 FMUL + 2 FMAD."""
-    yield op(OpClass.FMUL, 1)
-    yield op(OpClass.FMAD, 2)
+    yield FMUL
+    yield FMAD2
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def length_squared3(a: Vec) -> Generator:
-    """Squared length: 1 FMUL + 2 FMAD."""
-    return (yield from dot3(a, a))
+    """Squared length: 1 FMUL + 2 FMAD (``dot3(a, a)``, inlined)."""
+    yield FMUL
+    yield FMAD2
+    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
 
 
 def rsqrt(x: float) -> Generator:
     """Reciprocal square root: 16-cycle transcendental (Table 2.2)."""
-    yield op(OpClass.RSQRT)
+    yield RSQRT
     return 1.0 / math.sqrt(x) if x > 0.0 else 0.0
 
 
@@ -66,7 +113,7 @@ def length3(a: Vec) -> Generator:
     """Length: length_squared + rsqrt + FMUL (x * rsqrt(x) = sqrt(x))."""
     d2 = yield from length_squared3(a)
     r = yield from rsqrt(d2)
-    yield op(OpClass.FMUL)
+    yield FMUL
     return d2 * r
 
 
@@ -83,43 +130,41 @@ def ld_vec3(array: DeviceArrayView, index: int) -> Generator:
     Three separate 32-bit loads — the G80 pattern for float3, and the
     reason position loads in the Boids kernels do not coalesce.
     """
-    base = index * 3
-    x = yield ld(array, base)
-    y = yield ld(array, base + 1)
-    z = yield ld(array, base + 2)
+    base = int(index * 3)
+    x = yield GlobalReadEvent(array, base)
+    y = yield GlobalReadEvent(array, base + 1)
+    z = yield GlobalReadEvent(array, base + 2)
     return (x, y, z)
 
 
 def st_vec3(array: DeviceArrayView, index: int, value: Vec) -> Generator:
     """Store a float3 as 3 consecutive float32 stores."""
-    base = index * 3
-    yield st(array, base, value[0])
-    yield st(array, base + 1, value[1])
-    yield st(array, base + 2, value[2])
+    base = int(index * 3)
+    yield GlobalWriteEvent(array, base, value[0])
+    yield GlobalWriteEvent(array, base + 1, value[1])
+    yield GlobalWriteEvent(array, base + 2, value[2])
 
 
 def lds_vec3(array: SharedArrayView, index: int) -> Generator:
     """Load a float3 from shared memory (3 shared reads)."""
-    base = index * 3
-    x = yield lds(array, base)
-    y = yield lds(array, base + 1)
-    z = yield lds(array, base + 2)
+    base = int(index * 3)
+    x = yield SharedReadEvent(array, base)
+    y = yield SharedReadEvent(array, base + 1)
+    z = yield SharedReadEvent(array, base + 2)
     return (x, y, z)
 
 
 def sts_vec3(array: SharedArrayView, index: int, value: Vec) -> Generator:
     """Store a float3 to shared memory (3 shared writes)."""
-    base = index * 3
-    yield sts(array, base, value[0])
-    yield sts(array, base + 1, value[1])
-    yield sts(array, base + 2, value[2])
+    base = int(index * 3)
+    yield SharedWriteEvent(array, base, value[0])
+    yield SharedWriteEvent(array, base + 1, value[1])
+    yield SharedWriteEvent(array, base + 2, value[2])
 
 
 def ld_auto(device_vector, index: int) -> Generator:
     """Load one element of a DeviceVector-like from whatever space it
     lives in (global / texture / constant — the ch. 7 extension)."""
-    from repro.simgpu.isa import ldc, ldt
-
     space = getattr(device_vector, "space", "global")
     if space == "texture":
         value = yield ldt(device_vector.texref, index)
@@ -146,62 +191,62 @@ def ld_vec3_auto(device_vector, index: int) -> Generator:
 # ----------------------------------------------------------------------
 def sinf(x: float) -> Generator:
     """``__sinf`` — fast sine on the SFU."""
-    yield op(OpClass.TRANSCENDENTAL)
+    yield _TRANSCENDENTAL
     return math.sin(x)
 
 
 def cosf(x: float) -> Generator:
     """``__cosf`` — fast cosine on the SFU."""
-    yield op(OpClass.TRANSCENDENTAL)
+    yield _TRANSCENDENTAL
     return math.cos(x)
 
 
 def expf(x: float) -> Generator:
     """``__expf`` — fast exponential on the SFU."""
-    yield op(OpClass.TRANSCENDENTAL)
+    yield _TRANSCENDENTAL
     return math.exp(x)
 
 
 def logf(x: float) -> Generator:
     """``__logf`` — fast natural log on the SFU (x > 0)."""
-    yield op(OpClass.TRANSCENDENTAL)
+    yield _TRANSCENDENTAL
     return math.log(x)
 
 
 def rcp(x: float) -> Generator:
     """Reciprocal (Table 2.2: 16 cycles)."""
-    yield op(OpClass.RCP)
+    yield _RCP
     return 0.0 if x == 0.0 else 1.0 / x
 
 
 def sqrtf(x: float) -> Generator:
     """``sqrtf`` — compiled as rsqrt + multiply on the G80."""
     r = yield from rsqrt(x)
-    yield op(OpClass.FMUL)
+    yield FMUL
     return x * r
 
 
 def float2int(x: float) -> Generator:
     """``__float2int_rz`` — round-toward-zero conversion (§3.1.4)."""
-    yield op(OpClass.CONVERT)
+    yield _CONVERT
     return math.trunc(x)
 
 
 def int2float(x: int) -> Generator:
     """``__int2float_rn`` conversion."""
-    yield op(OpClass.CONVERT)
+    yield _CONVERT
     return float(x)
 
 
 def fminf(a: float, b: float) -> Generator:
     """``fminf`` (Table 2.2: min/max cost 4)."""
-    yield op(OpClass.MINMAX)
+    yield _MINMAX
     return a if a < b else b
 
 
 def fmaxf(a: float, b: float) -> Generator:
     """``fmaxf``."""
-    yield op(OpClass.MINMAX)
+    yield _MINMAX
     return a if a > b else b
 
 

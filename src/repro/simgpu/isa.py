@@ -21,6 +21,29 @@ where the hardware would execute an instruction::
 
 Composite helpers for 3-vector math used heavily by the Boids kernels live
 in :mod:`repro.simgpu.devicelib`.
+
+Two kinds of event, two lifetimes:
+
+* **Instruction events** — :class:`OpEvent`, :class:`SyncEvent` and
+  :class:`ReconvergeEvent` — carry no per-thread payload.  They are
+  frozen and interned: :func:`op` returns one shared ``OpEvent`` per
+  ``(class, count)``, and :func:`sync`/:func:`reconv` return singletons.
+  The executor compares them by identity as its fast "same instruction"
+  test.  Because an interned event never changes, a kernel or helper
+  library may build the ones it issues once, as module constants
+  (``devicelib.FADD3``, ``devicelib.COMPARE``, ...), and yield those
+  instead of calling :func:`op` per instruction.
+* **Memory events** — the ``*ReadEvent``/``*WriteEvent`` classes — carry
+  an array, an element index and, for stores, a value.  They are
+  per-yield ``__slots__`` records: :func:`ld`, :func:`st`, :func:`lds`,
+  :func:`sts`, :func:`ldc` and :func:`ldt` build a fresh one for every
+  ``yield`` (coercing the index with ``int()``), and the executor reads
+  it in the round it was yielded and never again.  They are never shared,
+  compared or mutated after the ``yield``; the divergence test looks only
+  at their type (:func:`signature`).  A helper that builds one directly
+  must pass an index it has already coerced to ``int``.
+
+Kernels must never rely on event identity or equality themselves.
 """
 
 from __future__ import annotations
@@ -39,63 +62,99 @@ class OpEvent:
     count: int = 1
 
 
-@dataclass(frozen=True)
-class GlobalReadEvent:
-    """Read element ``index`` of a global-memory array; the executor sends
+class _MemoryEvent:
+    """A per-yield memory-access record: ``(array, index)`` plus, for a
+    store, the ``value``.
+
+    Memory events are never shared or compared: :func:`ld` and friends
+    build a fresh one per ``yield`` and the executor consumes it in the
+    same round.  That makes a plain ``__slots__`` record enough — it costs
+    one ordinary ``__init__``, where a frozen dataclass pays an
+    ``object.__setattr__`` per field.
+    """
+
+    __slots__ = ("array", "index")
+
+    def __init__(self, array, index: int) -> None:
+        self.array = array
+        self.index = index
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(array={self.array!r}, index={self.index!r})"
+
+
+class _StoreEvent(_MemoryEvent):
+    """A memory event that carries the stored ``value``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, array, index: int, value: object) -> None:
+        self.array = array
+        self.index = index
+        self.value = value
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(array={self.array!r}, "
+            f"index={self.index!r}, value={self.value!r})"
+        )
+
+
+class GlobalReadEvent(_MemoryEvent):
+    """Read element ``index`` of a global-memory array
+    (:class:`~repro.simgpu.memory.DeviceArrayView`); the executor sends
     the value back into the generator."""
 
-    array: DeviceArrayView
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GlobalWriteEvent:
+class GlobalWriteEvent(_StoreEvent):
     """Write ``value`` to element ``index`` of a global-memory array.
 
     Fire-and-forget (§2.3): costs only the issue slot.
     """
 
-    array: DeviceArrayView
-    index: int
-    value: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SharedReadEvent:
-    """Read element ``index`` of a shared-memory array."""
+class SharedReadEvent(_MemoryEvent):
+    """Read element ``index`` of a shared-memory array
+    (:class:`~repro.simgpu.memory.SharedArrayView`)."""
 
-    array: SharedArrayView
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SharedWriteEvent:
+class SharedWriteEvent(_StoreEvent):
     """Write ``value`` to element ``index`` of a shared-memory array."""
 
-    array: SharedArrayView
-    index: int
-    value: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstantReadEvent:
-    """Read element ``index`` of a ``__constant__`` symbol.
+class ConstantReadEvent(_MemoryEvent):
+    """Read element ``index`` of a ``__constant__`` symbol
+    (a ``ConstantArrayView``).
 
     Broadcast semantics: one issue serves a warp reading a single
     address; distinct addresses serialize (see
     :mod:`repro.simgpu.caches`).
     """
 
-    array: object  # ConstantArrayView
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TextureReadEvent:
-    """1D texture fetch (``tex1Dfetch``) through a bound reference."""
+class TextureReadEvent(_MemoryEvent):
+    """1D texture fetch (``tex1Dfetch``) of element ``index`` through a
+    bound texture reference.
 
-    texref: object  # TextureReference
-    index: int
+    The reference travels in the ``array`` slot; ``texref`` names it.
+    """
+
+    __slots__ = ()
+
+    @property
+    def texref(self) -> object:
+        """The bound ``TextureReference`` being fetched through."""
+        return self.array
 
 
 @dataclass(frozen=True)
@@ -130,10 +189,9 @@ Event = (
 # ----------------------------------------------------------------------
 # Convenience constructors (keep kernel bodies readable)
 #
-# Events are immutable, so the payload-free ones are shared: ``op`` interns
-# one OpEvent per (class, count) and ``sync``/``reconv`` return module
-# singletons.  The executor uses identity as a fast "same instruction"
-# test; kernels must never rely on event identity themselves.
+# The payload-free events are shared: ``op`` interns one OpEvent per
+# (class, count) and ``sync``/``reconv`` return module singletons.  Memory
+# events are built fresh per call (see the module docstring).
 # ----------------------------------------------------------------------
 _OPS: "dict[tuple[int, int], OpEvent]" = {}
 _SYNC = SyncEvent()

@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
+from repro.obs import NULL_SPAN
+
+_TRACER = obs.get_tracer()
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,17 @@ def simulate_mp(
     reads_left = [reads_per_warp] * warps
     ready_at = [0] * warps  # when each warp can issue again
 
-    with obs.span(
-        "mpsim.simulate",
-        warps=warps,
-        reads_per_warp=reads_per_warp,
-        gap_cycles=gap_cycles,
-        latency=latency,
-        issue=issue,
+    with (
+        _TRACER.span(
+            "mpsim.simulate",
+            warps=warps,
+            reads_per_warp=reads_per_warp,
+            gap_cycles=gap_cycles,
+            latency=latency,
+            issue=issue,
+        )
+        if _TRACER.enabled
+        else NULL_SPAN
     ) as span:
         clock = 0
         issued = 0

@@ -26,8 +26,8 @@ thread.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Generator
+from dataclasses import dataclass, field
+from typing import Callable, Generator
 
 from repro.common.errors import ReproError
 from repro.simgpu.costs import OpClass
@@ -88,6 +88,11 @@ class Thread:
     state: ThreadState = ThreadState.RUNNABLE
     send_value: object = None  # value to send into the generator next step
     pending: Event | None = None  # event yielded in the current round
+    #: ``gen.send``, bound once: the fetch loop calls it every round.
+    send: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.send = self.gen.send
 
 
 def _shared_index(array: SharedArrayView, index: int) -> int:
@@ -113,7 +118,12 @@ def _broadcast(members: list[Thread]) -> bool:
 
 
 class Warp:
-    """A SIMD group of up to ``warp_size`` threads executed in lockstep."""
+    """A SIMD group of up to ``warp_size`` threads executed in lockstep.
+
+    ``threads`` must be in ascending lane order (a block's warps are
+    consecutive slices of its threads): the coalescer and the divergent
+    grouping rely on it instead of sorting.
+    """
 
     def __init__(
         self,
@@ -130,6 +140,10 @@ class Warp:
         #: Read-only cache simulators shared across the block's warps
         #: ("constant"/"texture" -> CacheSim), or None when absent.
         self.caches = caches or {}
+        #: Set when a thread of this warp arrived at a barrier or exited
+        #: — the only rounds after which its block can stall.  The block
+        #: clears it when it checks (see ThreadBlock.run).
+        self.stopped = False
 
     # ------------------------------------------------------------------
     @property
@@ -163,9 +177,10 @@ class Warp:
             try:
                 # A fresh thread's send_value is None, so send() starts
                 # its generator exactly as next() would.
-                ev = t.gen.send(t.send_value)
+                ev = t.send(t.send_value)
             except StopIteration:
                 t.state = _DONE
+                self.stopped = True
                 continue
             except Exception as exc:  # surface kernel bugs loudly
                 raise KernelFault(
@@ -189,9 +204,13 @@ class Warp:
         if not fetched:
             return True  # every runnable thread just finished
 
-        # 2. Convergent round: one group, no signatures needed.
+        # 2. Convergent round: one group, no signatures needed.  An
+        #    arithmetic op only needs counting, so it is counted here.
         if convergent:
-            self._execute_group(fetched, profile)
+            if type(first) is OpEvent:
+                profile.op_counts[first.op] += first.count
+            else:
+                self._execute_group(fetched, profile)
             return True
 
         # 3. Divergent round: group by signature in first-lane order (dict
@@ -229,7 +248,7 @@ class Warp:
                 raw = raws.get(ev.array)
                 if raw is None:
                     raw = raws[ev.array] = ev.array._raw()
-                t.send_value = raw[ev.index].item()
+                t.send_value = raw.item(ev.index)
         elif isinstance(event, GlobalWriteEvent):
             profile.count(OpClass.GLOBAL_WRITE)
             self._coalesce(members, profile, is_read=False)
@@ -245,7 +264,7 @@ class Warp:
                 # One word for the whole warp: no bank conflict (degree 1).
                 profile.count(OpClass.SHARED_READ)
                 array = event.array
-                value = array.data[_shared_index(array, event.index)].item()
+                value = array.data.item(_shared_index(array, event.index))
                 for t in members:
                     t.send_value = value
             else:
@@ -253,7 +272,7 @@ class Warp:
                 for t in members:
                     ev: SharedReadEvent = t.pending  # type: ignore[assignment]
                     index = _shared_index(ev.array, ev.index)
-                    t.send_value = ev.array.data[index].item()
+                    t.send_value = ev.array.data.item(index)
         elif isinstance(event, SharedWriteEvent):
             self._count_shared(members, profile, OpClass.SHARED_WRITE)
             for t in members:
@@ -268,6 +287,7 @@ class Warp:
             profile.sync_count += 1
             for t in members:
                 t.state = _AT_SYNC
+            self.stopped = True
         elif isinstance(event, ReconvergeEvent):
             # Free: reconvergence is the branch stack popping, not an
             # issued instruction.
@@ -371,38 +391,49 @@ class Warp:
         issues one transaction.  Otherwise each active thread issues its
         own >= 32-byte transaction — the G80 has no cache to merge them.
         """
-        by_half: dict[int, list[Thread]] = {}
+        # Members arrive in lane order, so each half-warp's accesses do
+        # too.  An access is (lane within the half-warp, address, size);
+        # the address is ``addr_of``'s, computed inline per array.
+        warp_size = self.warp_size
+        halves: "dict[int, list[tuple[int, int, int]]]" = {}
+        array = None
         for t in members:
-            by_half.setdefault((t.lane % self.warp_size) // HALF_WARP, []).append(t)
-        for _hw, group in by_half.items():
-            group.sort(key=lambda t: t.lane)
-            accesses = []
-            for t in group:
-                ev = t.pending
-                accesses.append(
-                    (ev.array.addr_of(ev.index), ev.array.dtype.itemsize)
+            ev = t.pending
+            if ev.array is not array:
+                array = ev.array
+                start, count = array.ptr.addr, array.count
+                size = array.dtype.itemsize
+            index = ev.index
+            if not 0 <= index < count:
+                array.addr_of(index)  # raises InvalidDeviceAccess
+            lane = t.lane % warp_size
+            access = (lane % HALF_WARP, start + index * size, size)
+            group = halves.get(lane // HALF_WARP)
+            if group is None:
+                halves[lane // HALF_WARP] = [access]
+            else:
+                group.append(access)
+        for group in halves.values():
+            lane0, addr0, size0 = group[0]
+            base = addr0 - lane0 * size0
+            coalesced = (
+                size0 in COALESCABLE_ITEMSIZES
+                and base % (HALF_WARP * size0) == 0
+            )
+            payload = moved = 0
+            for lane, addr, size in group:
+                payload += size
+                moved += (
+                    size if size > MIN_TRANSACTION_BYTES else MIN_TRANSACTION_BYTES
                 )
-            itemsizes = {sz for _a, sz in accesses}
-            coalesced = False
-            if len(itemsizes) == 1:
-                itemsize = next(iter(itemsizes))
-                if itemsize in COALESCABLE_ITEMSIZES:
-                    lane0 = group[0].lane % HALF_WARP
-                    base = accesses[0][0] - lane0 * itemsize
-                    coalesced = base % (HALF_WARP * itemsize) == 0 and all(
-                        addr == base + (t.lane % HALF_WARP) * itemsize
-                        for (addr, _sz), t in zip(accesses, group)
-                    )
-            payload = sum(sz for _a, sz in accesses)
+                if coalesced and (size != size0 or addr != base + lane * size):
+                    coalesced = False
             if coalesced:
                 transactions = 1
                 moved = max(payload, MIN_TRANSACTION_BYTES)
                 profile.coalesced_transactions += 1
             else:
                 transactions = len(group)
-                moved = sum(
-                    max(sz, MIN_TRANSACTION_BYTES) for _a, sz in accesses
-                )
                 profile.uncoalesced_transactions += transactions
                 profile.uncoalesced_groups += 1
                 profile.uncoalesced_bytes += moved

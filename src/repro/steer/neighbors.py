@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.steer.params import BoidsParams
 from repro.steer.vec3 import Vec3
 
@@ -181,6 +182,15 @@ ENGINES = {
     "kdtree": neighbor_search_all_kdtree,
 }
 
+#: Populations above this many agents make ``auto`` pick the kdtree.
+AUTO_KDTREE_ABOVE = 2048
+
+#: Counts every ``auto`` dispatch that switched to the kdtree engine;
+#: listed in metric snapshots only once it has fired.
+_KDTREE_SWITCHES = obs.bind_counter(
+    "steer.neighbor_engine_switches", engine="kdtree"
+)
+
 
 def neighbor_search_all(
     positions: np.ndarray,
@@ -188,9 +198,15 @@ def neighbor_search_all(
     engine: str = "auto",
     rows: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Dispatch to an engine; ``auto`` uses kdtree for large populations."""
+    """Dispatch to an engine; ``auto`` uses kdtree for large populations
+    (above :data:`AUTO_KDTREE_ABOVE` agents), counting each switch in
+    ``steer.neighbor_engine_switches{engine=kdtree}``."""
     if engine == "auto":
-        engine = "kdtree" if positions.shape[0] > 2048 else "numpy"
+        if positions.shape[0] > AUTO_KDTREE_ABOVE:
+            engine = "kdtree"
+            _KDTREE_SWITCHES.inc()
+        else:
+            engine = "numpy"
     try:
         fn = ENGINES[engine]
     except KeyError:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.simgpu import ArchSpec, SimDevice
 
 
@@ -26,3 +29,23 @@ def device(tiny_arch: ArchSpec) -> SimDevice:
 def big_device() -> SimDevice:
     """The full 8800 GTS configuration (12 MPs, 640 MiB)."""
     return SimDevice()
+
+
+@pytest.fixture
+def tracer_calls(monkeypatch) -> "collections.Counter[str]":
+    """Counts ``Tracer.instant``/``Tracer.span`` calls by event name,
+    made at the tracer's class whether tracing is on or off."""
+    calls: "collections.Counter[str]" = collections.Counter()
+    instant, span = Tracer.instant, Tracer.span
+
+    def counted_instant(self, name, **args):
+        calls[name] += 1
+        return instant(self, name, **args)
+
+    def counted_span(self, name, **args):
+        calls[name] += 1
+        return span(self, name, **args)
+
+    monkeypatch.setattr(Tracer, "instant", counted_instant)
+    monkeypatch.setattr(Tracer, "span", counted_span)
+    return calls

@@ -11,14 +11,11 @@ the tracer's class.
 
 from __future__ import annotations
 
-import collections
-
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.fault import FaultConfig
-from repro.obs.tracer import Tracer
 from repro.serve.service import ServeConfig, SimulationService
 
 CONFIGS = {
@@ -47,24 +44,6 @@ def _slice(config: ServeConfig, seconds: float = 0.1) -> SimulationService:
         service.submit(f"client-{owner}")
     service.drain()
     return service
-
-
-@pytest.fixture
-def tracer_calls(monkeypatch) -> "collections.Counter[str]":
-    calls: "collections.Counter[str]" = collections.Counter()
-    instant, span = Tracer.instant, Tracer.span
-
-    def counted_instant(self, name, **args):
-        calls[name] += 1
-        return instant(self, name, **args)
-
-    def counted_span(self, name, **args):
-        calls[name] += 1
-        return span(self, name, **args)
-
-    monkeypatch.setattr(Tracer, "instant", counted_instant)
-    monkeypatch.setattr(Tracer, "span", counted_span)
-    return calls
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))

@@ -14,7 +14,12 @@ from repro.steer import (
     neighbor_search_all_pure,
     neighbor_search_pure,
 )
-from repro.steer.neighbors import rank_nearest
+from repro import obs
+from repro.steer.neighbors import (
+    AUTO_KDTREE_ABOVE,
+    neighbor_search_all,
+    rank_nearest,
+)
 
 PARAMS = BoidsParams()
 
@@ -179,3 +184,38 @@ class TestRankNearest:
         order, found = rank_nearest(empty, np.zeros(0), empty, 3, 7)
         assert order.shape == (3, 7)
         assert not found.any()
+
+
+class TestAutoEngineSwitch:
+    """``auto`` switching to the kdtree is counted, not silent."""
+
+    SERIES = "steer.neighbor_engine_switches{engine=kdtree}"
+
+    @pytest.fixture(autouse=True)
+    def fresh_obs(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    def _counters(self) -> dict:
+        return obs.get_metrics().snapshot()["counters"]
+
+    def _flock(self, n: int) -> np.ndarray:
+        rng = np.random.default_rng(n)
+        return rng.uniform(-20.0, 20.0, (n, 3))
+
+    def test_switch_to_kdtree_is_counted(self):
+        positions = self._flock(AUTO_KDTREE_ABOVE + 1)
+        rows = np.arange(4)
+        found = neighbor_search_all(positions, PARAMS, engine="auto", rows=rows)
+        assert self._counters()[self.SERIES] == 1
+        expected = neighbor_search_all_kdtree(positions, PARAMS, rows=rows)
+        np.testing.assert_array_equal(found, expected)
+
+    @pytest.mark.parametrize("engine", ["auto", "kdtree", "numpy"])
+    def test_no_switch_lists_no_series(self, engine):
+        positions = self._flock(AUTO_KDTREE_ABOVE)
+        neighbor_search_all(positions, PARAMS, engine=engine, rows=np.arange(4))
+        assert not any(
+            k.startswith("steer.neighbor_engine_switches") for k in self._counters()
+        )
