@@ -20,6 +20,7 @@ devices); :class:`CudaRuntime` is the per-host-thread API state.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -245,6 +246,13 @@ class CudaRuntime(GlInteropMixin):
     # Memory management (§3.2.3)
     # ------------------------------------------------------------------
     def cudaMalloc(self, count: int) -> tuple[cudaError, DevicePtr | None]:  # noqa: N802
+        if type(count) is not int:
+            # Integer-like sizes (numpy scalars) pass; anything else is an
+            # invalid value, reported before any fault draw or allocation.
+            try:
+                count = operator.index(count)
+            except TypeError:
+                return cudaError.cudaErrorInvalidValue, None
         device = self.device
         injector = device.fault_injector
         if injector is not None and (
@@ -272,6 +280,11 @@ class CudaRuntime(GlInteropMixin):
         try:
             self.device.memory.free(ptr)
         except InvalidFree:
+            return cudaError.cudaErrorInvalidDevicePointer
+        except AttributeError:
+            if hasattr(ptr, "addr"):
+                raise
+            # Not a pointer at all (say, a bare integer address).
             return cudaError.cudaErrorInvalidDevicePointer
         _FREE_COUNT.inc()
         if _TRACER.enabled:

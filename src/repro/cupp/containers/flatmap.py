@@ -31,14 +31,15 @@ from repro.cupp.device import Device
 from repro.cupp.exceptions import CuppUsageError
 from repro.cupp.lazy import HostBuiltContainer
 from repro.simgpu import devicelib as dl
-from repro.simgpu.isa import ld
+from repro.simgpu.isa import bundle, ld
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
 _MASK64 = (1 << 64) - 1
 
 # The probe loop's interned multi-issue events (see repro.simgpu.isa).
 _IADD2 = dl.iadd(2)
-_COMPARE2 = dl.compare(2)
+#: A probe's test: empty? match? and the branch.
+_PROBE_TEST = bundle(dl.compare(2), dl.BRANCH)
 
 #: The reserved empty-slot marker.  Grid cell keys use at most 63 bits
 #: (see :mod:`repro.cupp.containers.hashgrid`), so the all-ones key can
@@ -120,8 +121,7 @@ def device_map_get(fmap: DeviceFlatMap, key: int, default: int = NOT_FOUND):
     yield _IADD2  # hash fold + mask
     while True:
         stored = yield ld(fmap.keys, slot)
-        yield _COMPARE2  # empty? match?
-        yield dl.BRANCH
+        yield _PROBE_TEST  # empty? match?
         if stored == EMPTY_KEY:
             return default
         if stored == key:

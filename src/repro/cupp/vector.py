@@ -18,6 +18,7 @@ so the read/write detection here is exact rather than proxy-approximate.
 
 from __future__ import annotations
 
+import operator
 import pickle
 from typing import Iterable, Iterator
 
@@ -31,6 +32,21 @@ from repro.cupp.lazy import LazyContainer
 from repro.simgpu.memory import DeviceArrayView, DevicePtr
 
 _TRACER = obs.get_tracer()
+
+
+def _size_arg(method: str, value: object) -> int:
+    """``value`` as an element count for ``method``: a non-negative
+    integer (numpy integers included), else :class:`CuppUsageError` —
+    raised before the method changes any state."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise CuppUsageError(
+            f"{method} needs an integer element count, got {value!r}"
+        ) from None
+    if count < 0:
+        raise CuppUsageError(f"{method} needs a count >= 0, got {count}")
+    return count
 
 
 class DeviceVector:
@@ -379,13 +395,15 @@ class Vector(LazyContainer):
         return self._store[self._size].item()
 
     def resize(self, count: int, fill: object = 0) -> None:
+        count = _size_arg("resize", count)
         self._before_host_write()
         if count > self._size:
             self._grow_to(count)
             self._store[self._size : count] = fill
-        self._size = int(count)
+        self._size = count
 
     def reserve(self, capacity: int) -> None:
+        capacity = _size_arg("reserve", capacity)
         self._ensure_host()
         self._grow_to(capacity)
 

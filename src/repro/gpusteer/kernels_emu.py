@@ -31,7 +31,7 @@ from repro.cupp.traits import ConstRef, Ref
 from repro.cupp.vector import DeviceVector
 from repro.simgpu import devicelib as dl
 from repro.simgpu.costs import OpClass
-from repro.simgpu.isa import ld, op, reconv, st, sync
+from repro.simgpu.isa import bundle, ld, op, reconv, st, sync
 
 #: Neighbor-slot count (§5.2.1: "We only consider the 7 nearest").
 MAX_NEIGHBORS = 7
@@ -44,6 +44,59 @@ _COMPARE2 = dl.compare(2)
 _IADD2 = dl.iadd(2)
 _FMUL4 = op(OpClass.FMUL, 4)
 _FMUL6 = op(OpClass.FMUL, 6)
+
+# The straight-line runs these kernels issue as one bundle each; every
+# part is the event the listing's line issues, in listing order.
+#: A loop head: condition + counter increment.
+_LOOP = bundle(dl.COMPARE, dl.IADD)
+#: Listing 6.3's tile loop head: condition + ++t + ``global_index``.
+_TILE_LOOP = bundle(dl.COMPARE, dl.IADD, dl.IADD)
+#: v3/v4's tile loop head, counter and index math fused.
+_TILE_LOOP2 = bundle(dl.COMPARE, _IADD2)
+#: A guarded branch: the condition and the branch instruction.
+_GUARD = bundle(dl.COMPARE, dl.BRANCH)
+#: The candidate test: offset, squared length, ``d2 < r2 && j != i``.
+_CANDIDATE_TEST = bundle(dl.FADD3, dl.LENGTH_SQUARED3, _COMPARE2, dl.BRANCH)
+#: The keep-7 insert into a full list: the 6-compare max-scan, then the
+#: compare against the new pair and its branch.
+_INSERT_SCAN = bundle(*[dl.COMPARE] * (MAX_NEIGHBORS - 1), _GUARD)
+#: Per gathered neighbor, up to the forward load: rsqrt, ``inv * inv``,
+#: the scaled offset, and the separation and cohesion sums.
+_STEER_NEIGHBOR = bundle(dl.RSQRT, dl.FMUL, dl.FMUL3, dl.FADD3, dl.FADD3)
+#: Per gathered neighbor, after the forward load: the alignment sum and
+#: ``++count``.
+_STEER_ALIGN = bundle(dl.FADD3, dl.IADD)
+#: The steering tail: the alignment average, three normalizes, three
+#: weights and the weighted sum.
+_STEER_TAIL = bundle(
+    dl.FMUL3,
+    dl.FADD3,
+    dl.NORMALIZE3,
+    dl.NORMALIZE3,
+    dl.NORMALIZE3,
+    dl.FMUL3,
+    dl.FMUL3,
+    dl.FMUL3,
+    dl.FADD3,
+    dl.FADD3,
+)
+#: v4's recompute of a gathered neighbor: offset and squared length.
+_RECOMPUTE = bundle(dl.FADD3, dl.LENGTH_SQUARED3)
+#: modify_kernel: a squared length tested against a limit.
+_LENGTH_TEST = bundle(dl.LENGTH_SQUARED3, _GUARD)
+#: modify_kernel: clip a vector to a length (rsqrt, ``limit * inv``, scale).
+_CLIP = bundle(dl.RSQRT, dl.FMUL, dl.FMUL3)
+#: modify_kernel: ``accel = force / mass`` and the first-step test.
+_ACCEL = bundle(dl.FMUL3, _GUARD)
+#: modify_kernel: the smoothing blend (two scales and a sum).
+_BLEND = bundle(dl.FMUL3, dl.FMUL3, dl.FADD3)
+#: modify_kernel: scale, add, and test the result's squared length.
+_STEP_TEST = bundle(dl.FMUL3, dl.FADD3, _LENGTH_TEST)
+#: modify_kernel: the draw matrix's up-hint test, two cross products and
+#: the side normalize.
+_FRAME = bundle(
+    _GUARD, _FMUL6, dl.FADD3, dl.NORMALIZE3, _FMUL6, dl.FADD3
+)
 
 
 # ----------------------------------------------------------------------
@@ -65,20 +118,19 @@ def _insert_neighbor(best: list, d2: float, j: int):
     random positions, so the index tiebreak changes no instruction
     count and no non-degenerate result.
     """
-    yield dl.COMPARE  # neighbors_found < 7 ?
-    yield dl.BRANCH
+    yield _GUARD  # neighbors_found < 7 ?
     if len(best) < MAX_NEIGHBORS:
         best.append((d2, j))
         yield dl.IADD  # ++neighbors_found
     else:
-        # Scan the 7 slots for the farthest stored neighbor.
+        # Scan the 7 slots for the farthest stored neighbor (one compare
+        # per slot after the first), then compare
+        # (d2, index)(worst) > (d2, index)(new) and branch.
+        yield _INSERT_SCAN
         worst = 0
         for k in range(1, MAX_NEIGHBORS):
-            yield dl.COMPARE
             if best[k] > best[worst]:
                 worst = k
-        yield dl.COMPARE  # (d2, index)(worst) > (d2, index)(new) ?
-        yield dl.BRANCH
         if best[worst] > (d2, j):
             best[worst] = (d2, j)
 
@@ -86,12 +138,12 @@ def _insert_neighbor(best: list, d2: float, j: int):
 def _candidate_test(my_pos, other_pos, r2: float, j: int, my_index: int):
     """Listing 6.3's per-candidate test: offset, d2, radius + self check.
 
+    The registers only: a kernel yields :data:`_CANDIDATE_TEST` (the
+    test's instructions) right before calling it, in the candidate loop
+    where a helper generator per candidate would cost a frame per lane.
     Returns (in_radius, d2).
     """
-    offset = yield from dl.sub3(my_pos, other_pos)
-    d2 = yield from dl.length_squared3(offset)
-    yield _COMPARE2  # d2 < r2 && global_index != my_index
-    yield dl.BRANCH
+    d2 = dl.vlength_squared3(dl.vsub3(my_pos, other_pos))
     return (d2 < r2 and j != my_index), d2
 
 
@@ -107,29 +159,25 @@ def _flocking_steering(my_fwd, gathered, forwards_view, weights):
     ali_sum = dl.ZERO3
     count = 0
     for d2, j, offset in gathered:
-        inv = yield from dl.rsqrt(d2)
+        yield _STEER_NEIGHBOR
+        inv = dl.vrsqrt(d2)
         # separation -= offset.normalize() / length  == offset / d2
-        yield dl.FMUL  # inv * inv
-        contrib = yield from dl.scale3(offset, inv * inv)
-        sep = yield from dl.sub3(sep, contrib)
-        coh = yield from dl.add3(coh, offset)
+        contrib = dl.vscale3(offset, inv * inv)
+        sep = dl.vsub3(sep, contrib)
+        coh = dl.vadd3(coh, offset)
         fwd_j = yield from dl.ld_vec3(forwards_view, j)
-        ali_sum = yield from dl.add3(ali_sum, fwd_j)
+        yield _STEER_ALIGN
+        ali_sum = dl.vadd3(ali_sum, fwd_j)
         count += 1
-        yield dl.IADD
     yield reconv()  # neighbor counts differ per thread; re-join here
-    scaled_fwd = yield from dl.scale3(my_fwd, float(count))
-    ali = yield from dl.sub3(ali_sum, scaled_fwd)
+    yield _STEER_TAIL
+    ali = dl.vsub3(ali_sum, dl.vscale3(my_fwd, float(count)))
 
     w_sep, w_ali, w_coh = weights
-    sep_n = yield from dl.normalize3(sep)
-    ali_n = yield from dl.normalize3(ali)
-    coh_n = yield from dl.normalize3(coh)
-    a = yield from dl.scale3(sep_n, w_sep)
-    b = yield from dl.scale3(ali_n, w_ali)
-    c = yield from dl.scale3(coh_n, w_coh)
-    ab = yield from dl.add3(a, b)
-    return (yield from dl.add3(ab, c))
+    a = dl.vscale3(dl.vnormalize3(sep), w_sep)
+    b = dl.vscale3(dl.vnormalize3(ali), w_ali)
+    c = dl.vscale3(dl.vnormalize3(coh), w_coh)
+    return dl.vadd3(dl.vadd3(a, b), c)
 
 
 def _write_results(results_view, i: int, best: list):
@@ -162,10 +210,10 @@ def find_neighbors_v1(
     r2 = search_radius * search_radius
     best: list = []
     for j in range(n):
-        yield dl.COMPARE  # loop condition
-        yield dl.IADD  # ++j
+        yield _LOOP  # loop condition, ++j
         other = yield from dl.ld_vec3(positions.view, j)
-        in_radius, d2 = yield from _candidate_test(my_pos, other, r2, j, i)
+        yield _CANDIDATE_TEST
+        in_radius, d2 = _candidate_test(my_pos, other, r2, j, i)
         if in_radius:
             yield from _insert_neighbor(best, d2, j)
         yield reconv()  # post-dominator of the insert branch
@@ -196,19 +244,17 @@ def find_neighbors_v2(
     r2 = search_radius * search_radius
     best: list = []
     for base in range(0, n, tpb):
-        yield dl.COMPARE
-        yield dl.IADD
+        yield _LOOP
         # Each thread stages one element of the tile (listing 6.2 line 8).
         staged = yield from dl.ld_vec3(positions.view, base + ctx.thread_idx.x)
         yield from dl.sts_vec3(s_positions, ctx.thread_idx.x, staged)
         yield sync()
         for t in range(tpb):
-            yield dl.COMPARE
-            yield dl.IADD
+            yield _TILE_LOOP  # loop condition, ++t, global_index = base + t
             j = base + t
-            yield dl.IADD  # global_index = base + i (listing 6.3)
             other = yield from dl.lds_vec3(s_positions, t)
-            in_radius, d2 = yield from _candidate_test(my_pos, other, r2, j, i)
+            yield _CANDIDATE_TEST
+            in_radius, d2 = _candidate_test(my_pos, other, r2, j, i)
             if in_radius:
                 yield from _insert_neighbor(best, d2, j)
             yield reconv()  # post-dominator of the insert branch
@@ -244,17 +290,16 @@ def _simulate_common(
     r2 = search_radius * search_radius
     best: list = []
     for base in range(0, n, tpb):
-        yield dl.COMPARE
-        yield dl.IADD
+        yield _LOOP
         staged = yield from dl.ld_vec3(positions.view, base + ctx.thread_idx.x)
         yield from dl.sts_vec3(s_positions, ctx.thread_idx.x, staged)
         yield sync()
         for t in range(tpb):
-            yield dl.COMPARE
-            yield _IADD2
+            yield _TILE_LOOP2
             j = base + t
             other = yield from dl.lds_vec3(s_positions, t)
-            in_radius, d2 = yield from _candidate_test(my_pos, other, r2, j, i)
+            yield _CANDIDATE_TEST
+            in_radius, d2 = _candidate_test(my_pos, other, r2, j, i)
             if in_radius:
                 yield from _insert_neighbor(best, d2, j)
                 if cache and (d2, j) in best:
@@ -288,9 +333,9 @@ def _simulate_common(
         else:
             # v4: recompute from the position data instead.
             npos = yield from dl.ld_vec3(positions.view, j)
-            offset = yield from dl.sub3(npos, my_pos)
-            rd2 = yield from dl.length_squared3(offset)
-            gathered.append((rd2, j, offset))
+            yield _RECOMPUTE
+            offset = dl.vsub3(npos, my_pos)
+            gathered.append((dl.vlength_squared3(offset), j, offset))
     yield reconv()  # gather loop length differs per thread
     steering = yield from _flocking_steering(
         my_fwd, gathered, forwards.view, weights
@@ -388,27 +433,26 @@ def modify_kernel(
     world_r = yield ld(params_packed.view, 5)
 
     steer = yield from dl.ld_vec3(steering.view, i)
-    # Clip the steering force to max_force (truncate_length).
-    f2 = yield from dl.length_squared3(steer)
-    yield dl.COMPARE
-    yield dl.BRANCH  # division-through-zero guard (§6.3.1)
+    # Clip the steering force to max_force (truncate_length), behind the
+    # division-through-zero guard (§6.3.1).
+    yield _LENGTH_TEST
+    f2 = dl.vlength_squared3(steer)
     if f2 > max_force * max_force:
-        inv = yield from dl.rsqrt(f2)
-        yield dl.FMUL
-        steer = yield from dl.scale3(steer, max_force * inv)
+        yield _CLIP
+        steer = dl.vscale3(steer, max_force * dl.vrsqrt(f2))
     yield reconv()
-    yield dl.FMUL3  # accel = force / mass
+    # accel = force / mass; "prevent calculation not needed in the first
+    # step".
+    yield _ACCEL
     accel = (steer[0] / mass, steer[1] / mass, steer[2] / mass)
-
-    yield dl.COMPARE
-    yield dl.BRANCH  # "prevent calculation not needed in the first step"
     if step_index == 0:
         smooth = accel
     else:
         old = yield from dl.ld_vec3(smoothed.view, i)
-        a = yield from dl.scale3(old, 1.0 - smoothing)
-        b = yield from dl.scale3(accel, smoothing)
-        smooth = yield from dl.add3(a, b)
+        yield _BLEND
+        smooth = dl.vadd3(
+            dl.vscale3(old, 1.0 - smoothing), dl.vscale3(accel, smoothing)
+        )
     yield reconv()
     yield from dl.st_vec3(smoothed.view, i, smooth)
     # Stage the smoothed acceleration in the shared scratch (on-chip).
@@ -416,40 +460,34 @@ def modify_kernel(
 
     fwd = yield from dl.ld_vec3(forwards.view, i)
     speed = yield ld(speeds.view, i)
-    vel_base = yield from dl.scale3(fwd, speed)
+    yield dl.FMUL3
+    vel_base = dl.vscale3(fwd, speed)
     smooth = yield from dl.lds_vec3(scratch, ctx.thread_idx.x)
-    delta = yield from dl.scale3(smooth, dt)
-    velocity = yield from dl.add3(vel_base, delta)
-
-    v2 = yield from dl.length_squared3(velocity)
-    yield dl.COMPARE
-    yield dl.BRANCH
+    # velocity = vel_base + smooth * dt, clipped to max_speed.
+    yield _STEP_TEST
+    velocity = dl.vadd3(vel_base, dl.vscale3(smooth, dt))
+    v2 = dl.vlength_squared3(velocity)
     if v2 > max_speed * max_speed:
-        inv = yield from dl.rsqrt(v2)
-        yield dl.FMUL
-        velocity = yield from dl.scale3(velocity, max_speed * inv)
+        yield _CLIP
+        velocity = dl.vscale3(velocity, max_speed * dl.vrsqrt(v2))
         new_speed = max_speed
     else:
-        inv = yield from dl.rsqrt(v2)
-        yield dl.FMUL
-        new_speed = v2 * inv  # sqrt(v2)
+        yield dl.SQRT
+        new_speed = v2 * dl.vrsqrt(v2)  # sqrt(v2)
     yield reconv()
 
     pos = yield from dl.ld_vec3(positions.view, i)
-    step_vec = yield from dl.scale3(velocity, dt)
-    pos = yield from dl.add3(pos, step_vec)
-    # Spherical world wrap (§5.1).
-    p2 = yield from dl.length_squared3(pos)
-    yield dl.COMPARE
-    yield dl.BRANCH
+    # pos += velocity * dt, then the spherical world wrap (§5.1).
+    yield _STEP_TEST
+    pos = dl.vadd3(pos, dl.vscale3(velocity, dt))
+    p2 = dl.vlength_squared3(pos)
     if p2 > world_r * world_r:
         yield dl.FMUL3
         pos = (-pos[0], -pos[1], -pos[2])
     yield reconv()
     yield from dl.st_vec3(positions.view, i, pos)
 
-    yield dl.COMPARE
-    yield dl.BRANCH  # division-through-zero guard
+    yield _GUARD  # division-through-zero guard
     if new_speed > 1e-12:
         yield _FMUL4
         fwd = (
@@ -461,20 +499,18 @@ def modify_kernel(
     yield from dl.st_vec3(forwards.view, i, fwd)
     yield st(speeds.view, i, new_speed)
 
-    # Build the 4x4 draw matrix — the only data the host reads back (§6.2.3).
+    # Build the 4x4 draw matrix — the only data the host reads back
+    # (§6.2.3): up-hint test, side = fwd x up_hint normalized,
+    # up = side x fwd.
+    yield _FRAME
     up_hint = (0.0, 1.0, 0.0) if abs(fwd[1]) < 0.99 else (1.0, 0.0, 0.0)
-    yield dl.COMPARE
-    yield dl.BRANCH
-    yield _FMUL6
-    yield dl.FADD3  # cross product
-    side = (
-        fwd[1] * up_hint[2] - fwd[2] * up_hint[1],
-        fwd[2] * up_hint[0] - fwd[0] * up_hint[2],
-        fwd[0] * up_hint[1] - fwd[1] * up_hint[0],
+    side = dl.vnormalize3(
+        (
+            fwd[1] * up_hint[2] - fwd[2] * up_hint[1],
+            fwd[2] * up_hint[0] - fwd[0] * up_hint[2],
+            fwd[0] * up_hint[1] - fwd[1] * up_hint[0],
+        )
     )
-    side = yield from dl.normalize3(side)
-    yield _FMUL6
-    yield dl.FADD3
     up = (
         side[1] * fwd[2] - side[2] * fwd[1],
         side[2] * fwd[0] - side[0] * fwd[2],

@@ -37,21 +37,26 @@ from repro.cupp.traits import ConstRef, Ref
 from repro.cupp.vector import DeviceVector
 from repro.simgpu import devicelib as dl
 from repro.simgpu.costs import OpClass
-from repro.simgpu.isa import ld, op, reconv
+from repro.simgpu.isa import bundle, ld, op, reconv
 
 from repro.gpusteer.kernels_emu import (
+    _CANDIDATE_TEST,
+    _GUARD,
+    _LOOP,
+    _RECOMPUTE,
     _candidate_test,
     _flocking_steering,
     _insert_neighbor,
     _write_results,
 )
 
-# Interned multi-issue events of the grid query (built once, see
-# repro.simgpu.isa).
-_MINMAX6 = op(OpClass.MINMAX, 6)
-_IADD3 = dl.iadd(3)
-_COMPARE3 = dl.compare(3)
+# Interned multi-issue events and straight-line runs of the grid query
+# (built once, see repro.simgpu.isa).
 _IADD4 = dl.iadd(4)
+#: Locate my cell: float divide, floor, bias/clamp per axis.
+_LOCATE = bundle(dl.FMUL3, dl.FADD3, op(OpClass.MINMAX, 6))
+#: A neighbor cell's coordinates and their bounds test.
+_CELL = bundle(dl.iadd(3), dl.compare(3))
 
 
 def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
@@ -63,9 +68,7 @@ def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
     lexicographic insert the kept set does not depend on it anyway.
     """
     # Locate my cell (float64 divide + floor + bias/clamp per axis).
-    yield dl.FMUL3
-    yield dl.FADD3
-    yield _MINMAX6
+    yield _LOCATE
     cx = axis_cell(my_pos[0], grid.cell_edge)
     cy = axis_cell(my_pos[1], grid.cell_edge)
     cz = axis_cell(my_pos[2], grid.cell_edge)
@@ -74,8 +77,7 @@ def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dz in (-1, 0, 1):
-                yield _IADD3
-                yield _COMPARE3
+                yield _CELL
                 x, y, z = cx + dx, cy + dy, cz + dz
                 if not (
                     0 <= x <= _AXIS_MAX
@@ -90,21 +92,18 @@ def _grid_scan(grid: DeviceHashGrid, positions_view, my_pos, r2, i):
                     (x << (2 * CELL_KEY_BITS)) | (y << CELL_KEY_BITS) | z
                 )
                 segment = yield from device_map_get(grid.cells, key)
-                yield dl.COMPARE
-                yield dl.BRANCH
+                yield _GUARD
                 if segment < 0:
                     yield reconv()
                     continue
                 start = yield ld(grid.starts, segment)
                 stop = yield ld(grid.starts, segment + 1)
                 for slot in range(start, stop):
-                    yield dl.COMPARE
-                    yield dl.IADD
+                    yield _LOOP
                     j = yield ld(grid.members, slot)
                     other = yield from dl.ld_vec3(positions_view, j)
-                    in_radius, d2 = yield from _candidate_test(
-                        my_pos, other, r2, j, i
-                    )
+                    yield _CANDIDATE_TEST
+                    in_radius, d2 = _candidate_test(my_pos, other, r2, j, i)
                     if in_radius:
                         yield from _insert_neighbor(best, d2, j)
                     yield reconv()
@@ -161,9 +160,9 @@ def simulate_grid(
     for slot in order:
         _d2, j = best[slot]
         npos = yield from dl.ld_vec3(positions.view, j)
-        offset = yield from dl.sub3(npos, my_pos)
-        rd2 = yield from dl.length_squared3(offset)
-        gathered.append((rd2, j, offset))
+        yield _RECOMPUTE
+        offset = dl.vsub3(npos, my_pos)
+        gathered.append((dl.vlength_squared3(offset), j, offset))
     yield reconv()  # gather loop length differs per thread
     steering = yield from _flocking_steering(
         my_fwd, gathered, forwards.view, (w_sep, w_ali, w_coh)

@@ -57,6 +57,13 @@ class OpClass(enum.Enum):
     BRANCH = "branch"  # control-flow instruction itself (§2.3: only the
     # instruction executes when the warp does not diverge)
 
+    #: Members are singletons compared by identity, so they hash by
+    #: identity too: the executor tallies ``op_counts[op] += n`` for every
+    #: warp instruction, and ``Enum.__hash__`` is a Python-level function
+    #: (it hashes the member's name).  Dict and Counter key order is
+    #: insertion order, so no published order depends on the hash.
+    __hash__ = object.__hash__
+
 
 #: Arithmetic classes that count as one FLOP each (FMAD counts as two).
 FLOP_CLASSES = frozenset(

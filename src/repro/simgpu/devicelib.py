@@ -11,17 +11,29 @@ operation and *returns* the computed value, so cycle accounting and the
 actual arithmetic can never disagree.  Values are plain Python tuples of
 floats — registers, in hardware terms (cost 0 to access, Table 2.2).
 
+Every formula has one definition: a plain *value* function (:func:`vadd3`,
+:func:`vsub3`, :func:`vscale3`, :func:`vdot3`, :func:`vlength_squared3`,
+:func:`vrsqrt`, ...) that computes the registers in the device code's
+float operation order.  The generator helpers yield their events and
+return the value function's result; a kernel that issues a straight-line
+run in one bundle calls the value functions directly.
+
 The arithmetic events the helpers issue are interned ``OpEvent`` module
 constants (:data:`FADD3`, :data:`FMUL`, :data:`FMAD2`, :data:`RSQRT`,
 :data:`COMPARE`, ...), built once by :func:`repro.simgpu.isa.op` at import.
 A helper yields the constant, so an instruction costs one ``yield`` and no
 lookup; kernels may yield them too (``yield dl.COMPARE``).  They are the
 very objects ``op()`` returns, so a lane yielding ``dl.FADD3`` and a lane
-yielding ``op(OpClass.FADD, 3)`` execute the same instruction.
+yielding ``op(OpClass.FADD, 3)`` execute the same instruction.  Helpers
+whose body is a straight-line run of several ops yield one interned
+:class:`~repro.simgpu.isa.OpBundle` (:data:`LENGTH_SQUARED3`,
+:data:`NORMALIZE3`, :data:`LENGTH3`, ...), accounted exactly as the ops
+one by one but resuming the thread once.
 
-The memory helpers (``ld_vec3``, ``sts_vec3``, ...) coerce the element
-index with ``int()`` once and then build the three per-yield memory
-events directly, as :mod:`repro.simgpu.isa` allows for a coerced index.
+The float3 memory helpers (``ld_vec3``, ``st_vec3``, ``lds_vec3``,
+``sts_vec3``) coerce the element index with ``int()`` once and yield one
+width-3 access at that base (:class:`~repro.simgpu.isa.GlobalRead3Event`
+and friends); a load returns the 3-tuple the executor sends back.
 """
 
 from __future__ import annotations
@@ -31,11 +43,12 @@ from typing import Generator
 
 from repro.simgpu.costs import OpClass
 from repro.simgpu.isa import (
-    GlobalReadEvent,
-    GlobalWriteEvent,
+    GlobalRead3Event,
+    GlobalWrite3Event,
     OpEvent,
-    SharedReadEvent,
-    SharedWriteEvent,
+    SharedRead3Event,
+    SharedWrite3Event,
+    bundle,
     ld,
     ldc,
     ldt,
@@ -70,96 +83,136 @@ _RCP = op(OpClass.RCP)
 _CONVERT = op(OpClass.CONVERT)
 _MINMAX = op(OpClass.MINMAX)
 
+# The interned straight-line runs of the composite helpers.
+#: A dot product or squared length: FMUL + 2 FMAD.
+LENGTH_SQUARED3 = bundle(FMUL, FMAD2)
+#: A normalize: squared length + RSQRT + 3-vector scale.
+NORMALIZE3 = bundle(LENGTH_SQUARED3, RSQRT, FMUL3)
+#: A length: squared length + RSQRT + FMUL (``x * rsqrt(x) = sqrt(x)``).
+LENGTH3 = bundle(LENGTH_SQUARED3, RSQRT, FMUL)
+#: ``sqrtf``: RSQRT + FMUL.
+SQRT = bundle(RSQRT, FMUL)
 
+
+# ----------------------------------------------------------------------
+# Register math: each formula's one definition (plain functions, no
+# events).  The generator helpers below return these.
+# ----------------------------------------------------------------------
+def vadd3(a: Vec, b: Vec) -> Vec:
+    """Component-wise ``a + b``."""
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def vsub3(a: Vec, b: Vec) -> Vec:
+    """Component-wise ``a - b``."""
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def vscale3(a: Vec, s: float) -> Vec:
+    """``a * s``."""
+    return (a[0] * s, a[1] * s, a[2] * s)
+
+
+def vdot3(a: Vec, b: Vec) -> float:
+    """``a . b``, associated ``(x + y) + z``."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def vlength_squared3(a: Vec) -> float:
+    """``a . a``, associated ``(x + y) + z``."""
+    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+
+
+def vrsqrt(x: float) -> float:
+    """``1 / sqrt(x)``, guarded to 0 for ``x <= 0``."""
+    return 1.0 / math.sqrt(x) if x > 0.0 else 0.0
+
+
+def vnormalize3(a: Vec) -> Vec:
+    """``a`` scaled by the rsqrt of its squared length (zero stays zero)."""
+    return vscale3(a, vrsqrt(vlength_squared3(a)))
+
+
+def vlength3(a: Vec) -> float:
+    """``d2 * rsqrt(d2)`` for the squared length ``d2``."""
+    d2 = vlength_squared3(a)
+    return d2 * vrsqrt(d2)
+
+
+# ----------------------------------------------------------------------
+# Generator helpers: the events, then the value.
+# ----------------------------------------------------------------------
 def add3(a: Vec, b: Vec) -> Generator:
     """Component-wise addition: 3 FADD."""
     yield FADD3
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    return vadd3(a, b)
 
 
 def sub3(a: Vec, b: Vec) -> Generator:
     """Component-wise subtraction: 3 FADD."""
     yield FADD3
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    return vsub3(a, b)
 
 
 def scale3(a: Vec, s: float) -> Generator:
     """Scalar multiply: 3 FMUL."""
     yield FMUL3
-    return (a[0] * s, a[1] * s, a[2] * s)
+    return vscale3(a, s)
 
 
 def dot3(a: Vec, b: Vec) -> Generator:
     """Dot product: 1 FMUL + 2 FMAD."""
-    yield FMUL
-    yield FMAD2
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    yield LENGTH_SQUARED3
+    return vdot3(a, b)
 
 
 def length_squared3(a: Vec) -> Generator:
-    """Squared length: 1 FMUL + 2 FMAD (``dot3(a, a)``, inlined)."""
-    yield FMUL
-    yield FMAD2
-    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    """Squared length: 1 FMUL + 2 FMAD (``dot3(a, a)``)."""
+    yield LENGTH_SQUARED3
+    return vlength_squared3(a)
 
 
 def rsqrt(x: float) -> Generator:
     """Reciprocal square root: 16-cycle transcendental (Table 2.2)."""
     yield RSQRT
-    return 1.0 / math.sqrt(x) if x > 0.0 else 0.0
+    return vrsqrt(x)
 
 
 def length3(a: Vec) -> Generator:
     """Length: length_squared + rsqrt + FMUL (x * rsqrt(x) = sqrt(x))."""
-    d2 = yield from length_squared3(a)
-    r = yield from rsqrt(d2)
-    yield FMUL
-    return d2 * r
+    yield LENGTH3
+    return vlength3(a)
 
 
 def normalize3(a: Vec) -> Generator:
     """Unit vector (zero stays zero): length_squared + rsqrt + scale."""
-    d2 = yield from length_squared3(a)
-    r = yield from rsqrt(d2)
-    return (yield from scale3(a, r))
+    yield NORMALIZE3
+    return vnormalize3(a)
 
 
 def ld_vec3(array: DeviceArrayView, index: int) -> Generator:
     """Load a float3 stored as 3 consecutive float32 at ``index*3``.
 
     Three separate 32-bit loads — the G80 pattern for float3, and the
-    reason position loads in the Boids kernels do not coalesce.
+    reason position loads in the Boids kernels do not coalesce — handed
+    to the executor as one width-3 access.
     """
-    base = int(index * 3)
-    x = yield GlobalReadEvent(array, base)
-    y = yield GlobalReadEvent(array, base + 1)
-    z = yield GlobalReadEvent(array, base + 2)
-    return (x, y, z)
+    return (yield GlobalRead3Event(array, int(index * 3)))
 
 
 def st_vec3(array: DeviceArrayView, index: int, value: Vec) -> Generator:
     """Store a float3 as 3 consecutive float32 stores."""
-    base = int(index * 3)
-    yield GlobalWriteEvent(array, base, value[0])
-    yield GlobalWriteEvent(array, base + 1, value[1])
-    yield GlobalWriteEvent(array, base + 2, value[2])
+    yield GlobalWrite3Event(array, int(index * 3), value)
 
 
 def lds_vec3(array: SharedArrayView, index: int) -> Generator:
     """Load a float3 from shared memory (3 shared reads)."""
-    base = int(index * 3)
-    x = yield SharedReadEvent(array, base)
-    y = yield SharedReadEvent(array, base + 1)
-    z = yield SharedReadEvent(array, base + 2)
-    return (x, y, z)
+    return (yield SharedRead3Event(array, int(index * 3)))
 
 
 def sts_vec3(array: SharedArrayView, index: int, value: Vec) -> Generator:
     """Store a float3 to shared memory (3 shared writes)."""
-    base = int(index * 3)
-    yield SharedWriteEvent(array, base, value[0])
-    yield SharedWriteEvent(array, base + 1, value[1])
-    yield SharedWriteEvent(array, base + 2, value[2])
+    yield SharedWrite3Event(array, int(index * 3), value)
 
 
 def ld_auto(device_vector, index: int) -> Generator:
@@ -221,9 +274,8 @@ def rcp(x: float) -> Generator:
 
 def sqrtf(x: float) -> Generator:
     """``sqrtf`` — compiled as rsqrt + multiply on the G80."""
-    r = yield from rsqrt(x)
-    yield FMUL
-    return x * r
+    yield SQRT
+    return x * vrsqrt(x)
 
 
 def float2int(x: float) -> Generator:

@@ -22,7 +22,7 @@ where the hardware would execute an instruction::
 Composite helpers for 3-vector math used heavily by the Boids kernels live
 in :mod:`repro.simgpu.devicelib`.
 
-Two kinds of event, two lifetimes:
+Three kinds of event:
 
 * **Instruction events** — :class:`OpEvent`, :class:`SyncEvent` and
   :class:`ReconvergeEvent` — carry no per-thread payload.  They are
@@ -42,6 +42,35 @@ Two kinds of event, two lifetimes:
   compared or mutated after the ``yield``; the divergence test looks only
   at their type (:func:`signature`).  A helper that builds one directly
   must pass an index it has already coerced to ``int``.
+* **Multi-part events** — :class:`OpBundle` and the float3 accesses
+  (:class:`GlobalRead3Event`, :class:`GlobalWrite3Event`,
+  :class:`SharedRead3Event`, :class:`SharedWrite3Event`) — stand for a
+  straight-line run of the events above, handed over in one ``yield``.
+  A bundle is an interned tuple of interned ``OpEvent`` parts, built once
+  by :func:`bundle` (usually at import, like the op constants).  A
+  float3 access is a per-yield record like the scalar memory events,
+  built with an ``int`` index (the ``devicelib`` float3 helpers coerce
+  it); its three parts are the scalar accesses of elements ``index``,
+  ``index + 1`` and ``index + 2``, and a load's ``yield`` returns the
+  3-tuple of their values.  :func:`parts` lists the scalar events a
+  multi-part event stands for.
+
+Exactness rule: a thread that yields a multi-part event is accounted
+exactly as if it had yielded the parts one per ``yield`` — same rounds,
+same divergence and serialization, same ``InstructionProfile`` fields
+(``op_counts`` key order included), same values and memory.  The warp
+presents the parts one per round through a per-thread cursor, resuming
+the generator only after the last part; when every lane of a round holds
+the same bundle (or a float3 access of the same kind) at its start, it
+executes all the parts in that round and then sits out the rounds the
+parts would have taken (see :mod:`repro.simgpu.warp`).
+
+The one contract change: in that convergent case the second and third
+components of a float3 access land up to two block passes earlier than
+a scalar-by-scalar kernel would place them.  Only another warp reading
+or writing the same words between two barriers could tell — a
+cross-warp race, which CUDA leaves undefined.  Within a warp, and across
+warps separated by ``__syncthreads()``, nothing moves.
 
 Kernels must never rely on event identity or equality themselves.
 """
@@ -173,8 +202,120 @@ class ReconvergeEvent:
     """
 
 
+class OpBundle(tuple):
+    """A straight-line run of interned :class:`OpEvent` parts, yielded as
+    one event (build with :func:`bundle`; see the module docstring).
+
+    Besides the parts themselves it carries what the executor's
+    convergent path needs, precomputed once: ``classes``, the set of
+    instruction classes in the run, and ``totals``, each class's summed
+    count in first-use order.
+    """
+
+    classes: frozenset
+    totals: "tuple[tuple[OpClass, int], ...]"
+
+
+class _Access3:
+    """A float3 access: three scalar accesses of consecutive elements
+    starting at the coerced element ``index`` (a per-yield record, like
+    the scalar memory events).  ``scalar`` is the event type of a part."""
+
+    __slots__ = ("array", "index")
+    scalar: type
+
+    def __init__(self, array, index: int) -> None:
+        self.array = array
+        self.index = index
+
+    def parts(self) -> tuple:
+        """The three scalar accesses this event stands for, in order."""
+        scalar, array, index = self.scalar, self.array, self.index
+        return (
+            scalar(array, index),
+            scalar(array, index + 1),
+            scalar(array, index + 2),
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(array={self.array!r}, index={self.index!r})"
+
+
+class _Store3(_Access3):
+    """A float3 store: ``value`` is the 3-tuple written."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, array, index: int, value) -> None:
+        self.array = array
+        self.index = index
+        self.value = value
+
+    def parts(self) -> tuple:
+        scalar, array, index, value = self.scalar, self.array, self.index, self.value
+        return (
+            scalar(array, index, value[0]),
+            scalar(array, index + 1, value[1]),
+            scalar(array, index + 2, value[2]),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(array={self.array!r}, "
+            f"index={self.index!r}, value={self.value!r})"
+        )
+
+
+class GlobalRead3Event(_Access3):
+    """Three global loads of consecutive elements; ``yield`` returns the
+    3-tuple (the G80's float3 load, which issues three 32-bit loads)."""
+
+    __slots__ = ()
+    scalar = GlobalReadEvent
+
+
+class GlobalWrite3Event(_Store3):
+    """Three global stores of consecutive elements."""
+
+    __slots__ = ()
+    scalar = GlobalWriteEvent
+
+
+class SharedRead3Event(_Access3):
+    """Three shared-memory loads of consecutive elements; ``yield``
+    returns the 3-tuple."""
+
+    __slots__ = ()
+    scalar = SharedReadEvent
+
+
+class SharedWrite3Event(_Store3):
+    """Three shared-memory stores of consecutive elements."""
+
+    __slots__ = ()
+    scalar = SharedWriteEvent
+
+
+#: The float3 access types (the executor's width-3 forms).
+ACCESS3_TYPES = (
+    GlobalRead3Event,
+    GlobalWrite3Event,
+    SharedRead3Event,
+    SharedWrite3Event,
+)
+
+#: Multi-part event types whose load parts return values, gathered into
+#: the tuple the generator receives.
+LOAD3_TYPES = (GlobalRead3Event, SharedRead3Event)
+
+
 Event = (
     OpEvent
+    | OpBundle
+    | GlobalRead3Event
+    | GlobalWrite3Event
+    | SharedRead3Event
+    | SharedWrite3Event
     | GlobalReadEvent
     | GlobalWriteEvent
     | SharedReadEvent
@@ -206,6 +347,48 @@ def op(op_class: OpClass, count: int = 1) -> OpEvent:
     if event is None:
         event = _OPS[key] = OpEvent(op_class, count)
     return event
+
+
+_BUNDLES: "dict[tuple[int, ...], OpBundle]" = {}
+
+
+def bundle(*ops: "OpEvent | OpBundle") -> OpBundle:
+    """The interned bundle of the given ops, in order (nested bundles are
+    flattened; each part is replaced by its interned :func:`op` twin).
+
+    Equal runs return the same object, so lanes that reach one run
+    through different helpers still issue "the same instruction".
+    """
+    parts: list[OpEvent] = []
+    for item in ops:
+        if isinstance(item, OpBundle):
+            parts.extend(item)
+        elif isinstance(item, OpEvent):
+            parts.append(op(item.op, item.count))
+        else:
+            raise TypeError(f"bundle parts must be OpEvents, got {item!r}")
+    if not parts:
+        raise ValueError("a bundle needs at least one op")
+    key = tuple(id(part) for part in parts)
+    run = _BUNDLES.get(key)
+    if run is None:
+        run = _BUNDLES[key] = OpBundle(parts)
+        run.classes = frozenset(part.op for part in parts)
+        totals: "dict[OpClass, int]" = {}
+        for part in parts:
+            totals[part.op] = totals.get(part.op, 0) + part.count
+        run.totals = tuple(totals.items())
+    return run
+
+
+def parts(event: Event) -> tuple:
+    """The single-part events a multi-part event stands for, in issue
+    order; ``(event,)`` for any other event."""
+    if type(event) is OpBundle:
+        return event
+    if isinstance(event, _Access3):
+        return event.parts()
+    return (event,)
 
 
 def ld(array: DeviceArrayView, index: int) -> GlobalReadEvent:

@@ -14,6 +14,11 @@ the simulator the equivalent instrument:
 
 The trace runs the kernel on a scratch device for a single block, so it
 is an inspection tool, not a profiler — profiles come from real launches.
+
+A multi-part event (an op bundle or a float3 access, see
+:mod:`repro.simgpu.isa`) is listed — and handed to the warp — part by
+part, so a listing reads exactly as if the kernel had yielded every
+instruction on its own, truncation at ``max_instructions`` included.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ from repro.simgpu.isa import (
     ConstantReadEvent,
     GlobalReadEvent,
     GlobalWriteEvent,
+    LOAD3_TYPES,
     OpEvent,
     ReconvergeEvent,
     SharedReadEvent,
     SharedWriteEvent,
     SyncEvent,
     TextureReadEvent,
+    parts,
 )
 
 #: PTX mnemonics per instruction class (flavour, not a real assembler).
@@ -156,9 +163,16 @@ def trace_kernel(
                     started = True
                 except StopIteration:
                     return
-                trace.lines.extend(_render(event, counter))
-                counter += 1
-                send = yield event
+                values = []
+                for k, part in enumerate(parts(event)):
+                    if k and len(trace.lines) >= max_instructions:
+                        return
+                    trace.lines.extend(_render(part, counter))
+                    counter += 1
+                    values.append((yield part))
+                send = (
+                    tuple(values) if type(event) in LOAD3_TYPES else values[-1]
+                )
         else:
             yield from impl(ctx, *kargs)
 

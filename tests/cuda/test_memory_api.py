@@ -41,6 +41,29 @@ class TestMallocFree:
         assert rt.cudaFree(ptr) is cudaError.cudaErrorInvalidDevicePointer
 
 
+class TestBadArguments:
+    """The C-style API reports bad arguments as error codes and changes
+    nothing; it never raises."""
+
+    @pytest.mark.parametrize("count", [1.5, "x", None])
+    def test_malloc_of_a_non_integer_is_invalid_value(self, rt, count):
+        free = rt.device.memory.free_bytes
+        assert rt.cudaMalloc(count) == (cudaError.cudaErrorInvalidValue, None)
+        assert rt.device.memory.free_bytes == free
+
+    def test_malloc_accepts_an_integer_like_count(self, rt):
+        err, ptr = rt.cudaMalloc(np.int64(64))
+        assert err.ok and isinstance(ptr, DevicePtr)
+
+    @pytest.mark.parametrize("ptr", [12345, "p", 1.5])
+    def test_free_of_a_non_pointer_is_invalid_device_pointer(self, rt, ptr):
+        _, live = rt.cudaMalloc(128)
+        free = rt.device.memory.free_bytes
+        assert rt.cudaFree(ptr) is cudaError.cudaErrorInvalidDevicePointer
+        assert rt.device.memory.free_bytes == free
+        assert rt.cudaFree(live).ok
+
+
 class TestMemcpy:
     def test_h2d_d2h_roundtrip(self, rt):
         data = np.arange(32, dtype=np.float32)

@@ -122,6 +122,33 @@ class TestStlBehaviour:
         assert not Vector([1], dtype=np.int32) == Vector([2], dtype=np.int32)
 
 
+class TestSizeArguments:
+    """``resize``/``reserve`` reject a count that is negative or not an
+    integer with ``CuppUsageError`` before touching any state: a vector
+    whose only fresh copy is on the device is not downloaded."""
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [("resize", -1), ("reserve", -3), ("resize", 2.5), ("reserve", "x")],
+    )
+    def test_bad_count_raises_before_any_change(self, dev, call, value):
+        v = Vector(np.arange(32, dtype=np.float32))
+        Kernel(double_all, 1, 32)(dev, v)  # device copy is now the fresh one
+        with pytest.raises(CuppUsageError):
+            getattr(v, call)(value)
+        assert v.downloads == 0
+        assert len(v) == 32
+        np.testing.assert_array_equal(
+            v.to_numpy(), np.arange(32, dtype=np.float32) * 2
+        )
+
+    def test_integer_like_counts_pass(self):
+        v = Vector([1, 2], dtype=np.int32)
+        v.reserve(np.int64(16))
+        v.resize(np.int32(3), fill=5)
+        assert list(v) == [1, 2, 5]
+
+
 class TestKernelInterplay:
     def test_mutable_ref_roundtrip(self, dev):
         v = Vector(np.arange(32, dtype=np.float32))

@@ -119,3 +119,52 @@ class TestLocalSpillDetection:
         assert "neighbor_cache" in v3_spills
         assert v3_spills["neighbor_cache"] == 7 * 4 * 4  # 7 slots x 4 floats
         assert v4_spills == {}
+
+
+class TestMultiPartEvents:
+    """Bundles and float3 accesses are listed part by part: a kernel's
+    listing equals the listing of the same kernel with every multi-part
+    event expanded into plain yields."""
+
+    @staticmethod
+    def _args(device, kernel_name):
+        from repro.cupp.vector import DeviceVector
+
+        rng = np.random.default_rng(3)
+        n = 32
+
+        def make_vec(count, data=None):
+            ptr = device.memory.alloc(4 * count)
+            if data is not None:
+                device.memory.copy_in(ptr, data.astype(np.float32))
+            return DeviceVector(
+                DeviceArrayView(device.memory, ptr, np.dtype(np.float32), count)
+            )
+
+        positions = make_vec(3 * n, rng.uniform(-10.0, 10.0, 3 * n))
+        forwards = make_vec(3 * n, rng.standard_normal(3 * n))
+        steering = make_vec(3 * n, rng.standard_normal(3 * n))
+        if kernel_name == "simulate_v4":
+            return (positions, forwards, 9.0, 12.0, 8.0, 8.0, steering)
+        speeds = make_vec(n, rng.uniform(0.0, 1.0, n))
+        smoothed = make_vec(3 * n, rng.standard_normal(3 * n))
+        params = make_vec(6, np.array([1.0, 2.0, 1.0, 0.1, 0.5, 50.0]))
+        matrices = make_vec(16 * n)
+        return (steering, positions, forwards, speeds, smoothed, params, 1, matrices)
+
+    @pytest.mark.parametrize("kernel_name", ["simulate_v4", "modify_kernel"])
+    def test_listing_equals_the_expanded_kernel(self, kernel_name):
+        from repro.gpusteer import kernels_emu
+
+        from tests.simgpu.test_bundle_reference import expand_kernel
+
+        kernel = getattr(kernels_emu, kernel_name)
+        listings = []
+        for fn in (kernel, expand_kernel(kernel)):
+            device = SimDevice()
+            args = self._args(device, kernel_name)
+            trace = trace_kernel(fn, args, threads=32, device=device)
+            listings.append(trace.listing())
+        assert listings[0] == listings[1]
+        assert "ld.shared.f32" in listings[0]  # a float3 shared load
+        assert "// unknown event" not in listings[0]
