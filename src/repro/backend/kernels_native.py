@@ -307,7 +307,11 @@ native_kernel(modify_kernel.impl)(_modify)
 # instead of scanning all pairs; because cell_edge >= search_radius the
 # 27-cell neighborhood is a superset of the in-radius set, so selecting
 # the smallest-(d2, index) seven over it is bit-identical to the
-# all-pairs selection.
+# all-pairs selection.  The directory is looked up once per distinct
+# owner cell, not once per agent; a slice of agents then expands its
+# cells' segments, reads candidate coordinates from one cell-sorted
+# copy of the positions and ranks its survivors with one rank_nearest
+# sort (a packed integer key at a slice's usual size).
 # ----------------------------------------------------------------------
 
 
@@ -315,7 +319,8 @@ native_kernel(modify_kernel.impl)(_modify)
 #: run of consecutive agents; it expands fewer candidates than this
 #: plus its first agent's own 27-cell count, and the directory lookup
 #: runs over blocks of this many cell probes, which bounds the query's
-#: working set at a few MB however dense or sparse the flock is.
+#: working set at a few MB plus O(n) index arrays, however dense or
+#: sparse the flock is.
 GRID_SLICE_CANDIDATES = 1 << 14
 
 #: The 27 neighbor-cell offsets, x-major like ``_grid_scan``'s walk, as
@@ -331,12 +336,16 @@ _CELLS = _KEY_DELTAS.size
 
 
 def _cell_segments(hgrid, my_pos: np.ndarray):
-    """Per agent and neighbor cell, the CSR segment's ``(start, length)``.
+    """``_grid_scan``'s directory walk, once per occupied owner cell.
 
-    The bulk form of ``_grid_scan``'s directory walk: neighbor cells
-    with an axis out of range are skipped (length 0), and the flat
-    map's probe becomes a ``searchsorted`` over its sorted occupied
-    keys.  Returns two (m, 27) int32 arrays; a missing cell has length 0.
+    Owners in one cell share its 27-cell neighborhood, so the walk runs
+    over the distinct cells of ``my_pos`` (found from the positions, as
+    the kernel finds them).  Neighbor cells with an axis out of range
+    are skipped, and the flat map's probe becomes a ``searchsorted``
+    over its sorted occupied keys.  Returns ``(cell_of, seg_off,
+    seg_start, seg_len)``: each owner's cell number, and cell ``c``'s
+    occupied neighbor segments as CSR ``(start, length)`` pairs at
+    ``seg_off[c]:seg_off[c + 1]``, x-major.
     """
     keys_raw = hgrid.cells.keys._raw()
     occupied = keys_raw != EMPTY_KEY
@@ -348,30 +357,46 @@ def _cell_segments(hgrid, my_pos: np.ndarray):
     dir_segs = dir_segs[by_key]
     starts = hgrid.starts._raw()
 
-    m = my_pos.shape[0]
-    seg_start = np.zeros((m, _CELLS), dtype=np.int32)
-    seg_len = np.zeros((m, _CELLS), dtype=np.int32)
-    if not dir_keys.size:
-        return seg_start, seg_len
+    coords = cell_coords(my_pos, hgrid.cell_edge)
+    cell_keys, first, cell_of = np.unique(
+        pack_cell_key(*coords.T), return_index=True, return_inverse=True
+    )
+    coords = coords[first]
+    per_cell = np.zeros(cell_keys.size, dtype=np.int64)
+    seg_start, seg_len = [], []
     block = GRID_SLICE_CANDIDATES // _CELLS
-    for a in range(0, m, block):
-        cells = cell_coords(my_pos[a : a + block], hgrid.cell_edge)
-        steps = cells[:, :, None] + _AXIS_STEPS  # (agent, axis, step)
+    for a in range(0, cell_keys.size if dir_keys.size else 0, block):
+        steps = coords[a : a + block, :, None] + _AXIS_STEPS  # (cell, axis, step)
         axis_ok = (steps >= 0) & (steps <= _AXIS_MAX)
         hit = (
             axis_ok[:, 0, :, None, None]
             & axis_ok[:, 1, None, :, None]
             & axis_ok[:, 2, None, None, :]
         ).reshape(-1, _CELLS)
-        keys = pack_cell_key(*cells.T)[:, None] + _KEY_DELTAS
+        keys = cell_keys[a : a + block, None] + _KEY_DELTAS
         slot = np.searchsorted(dir_keys, keys)
         np.minimum(slot, dir_keys.size - 1, out=slot)
         hit &= dir_keys[slot] == keys
         seg = dir_segs[slot[hit]]
-        rows = slice(a, a + block)
-        seg_start[rows][hit] = starts[seg]
-        seg_len[rows][hit] = starts[seg + 1] - starts[seg]
-    return seg_start, seg_len
+        seg_start.append(starts[seg])
+        seg_len.append(starts[seg + 1] - starts[seg])
+        per_cell[a : a + block] = hit.sum(axis=1)
+    seg_off = np.zeros(cell_keys.size + 1, dtype=np.int64)
+    np.cumsum(per_cell, out=seg_off[1:])
+    empty = np.zeros(0, dtype=np.int32)
+    return (
+        cell_of,
+        seg_off,
+        np.concatenate(seg_start) if seg_start else empty,
+        np.concatenate(seg_len) if seg_len else empty,
+    )
+
+
+def _runs(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated index runs ``first[i] .. first[i] + lens[i] - 1``."""
+    idx = np.repeat(first - (np.cumsum(lens) - lens), lens)
+    idx += np.arange(idx.size)
+    return idx
 
 
 def _grid_neighbors(hgrid, pos: np.ndarray, m: int, r2: float):
@@ -381,36 +406,47 @@ def _grid_neighbors(hgrid, pos: np.ndarray, m: int, r2: float):
     Returns ``(order, found)`` shaped (m, MAX_NEIGHBORS) — the same
     canonical nearest-first layout ``_neighbor_candidates`` produces.
     Array code over slices of agents: each slice expands its agents'
-    CSR segments into one flat candidate list, filters it by radius and
-    self, and ranks every owner's survivors with one sort.  The kept
-    set is the seven smallest ``(d2, index)`` pairs, so neither the
-    slicing nor the candidate order can change it.
+    cells' CSR segments into one flat candidate list, filters it by
+    radius and self, and ranks every owner's survivors with one sort.
+    The kept set is the seven smallest ``(d2, index)`` pairs, so neither
+    the slicing nor the candidate order can change it.
+
+    Candidate coordinates come from one cell-sorted copy of the
+    positions, ``pos[members]``, where every segment is a contiguous
+    run; a grid holding an agent the positions lack raises
+    :class:`InvalidDeviceAccess` up front.
     """
-    members = hgrid.members._raw()
-    cols = pos.T.copy()  # contiguous x, y, z: cheap gathers
-    seg_start, seg_len = _cell_segments(hgrid, pos[:m])
+    starts = hgrid.starts._raw()
+    members = hgrid.members._raw()[: int(starts[-1])]
+    n = pos.shape[0]
+    if members.size and int(members.max()) >= n:
+        raise InvalidDeviceAccess(
+            f"the grid holds agent {int(members.max())}; positions hold {n}"
+        )
+    cell_cols = pos[members].T.copy()  # contiguous x, y, z, cell-sorted
+    cell_of, seg_off, seg_start, seg_len = _cell_segments(hgrid, pos[:m])
+    seg_end = np.zeros(seg_len.size + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=seg_end[1:])
+    count = (seg_end[seg_off[1:]] - seg_end[seg_off[:-1]])[cell_of]
     # Cut a new slice wherever the running candidate count passes
     # another multiple of the budget.
-    budget_mark = np.cumsum(seg_len.sum(axis=1)) // GRID_SLICE_CANDIDATES
+    budget_mark = np.cumsum(count) // GRID_SLICE_CANDIDATES
     cuts = np.flatnonzero(np.diff(budget_mark)) + 1
     bounds = np.concatenate(([0], cuts, [m]))
 
     order = np.zeros((m, MAX_NEIGHBORS), dtype=np.int64)
     found = np.zeros((m, MAX_NEIGHBORS), dtype=bool)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        lens = seg_len[a:b].reshape(-1)
-        nonempty = np.flatnonzero(lens)
-        lens = lens[nonempty]
-        owner = np.repeat(a + nonempty // _CELLS, lens)
-        # Candidate c of segment s reads members[start_s + c - base_s],
-        # base_s being the segment's offset in the flat list.
-        slot = np.repeat(
-            seg_start[a:b].reshape(-1)[nonempty] - (np.cumsum(lens) - lens), lens
-        )
-        slot += np.arange(slot.size)
+        cells = cell_of[a:b]
+        seg = _runs(seg_off[cells], seg_off[cells + 1] - seg_off[cells])
+        slot = _runs(seg_start[seg], seg_len[seg])
         j = members[slot]
+        cnt = count[a:b]
+        owner = np.repeat(np.arange(a, b), cnt)
         # offset = my_pos - other_pos; d2 in dot3's order.
-        ox, oy, oz = (np.take(c, owner) - np.take(c, j) for c in cols)
+        ox, oy, oz = (
+            np.repeat(pos[a:b, c], cnt) - cell_cols[c][slot] for c in range(3)
+        )
         d2 = (ox * ox + oy * oy) + oz * oz
         keep = np.flatnonzero((d2 < r2) & (j != owner))
         order[a:b], found[a:b] = rank_nearest(

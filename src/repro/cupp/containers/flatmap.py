@@ -50,14 +50,16 @@ EMPTY_KEY = _MASK64
 NOT_FOUND = -1
 
 
-def mix64(key: int) -> int:
+def mix64(key: "int | np.ndarray") -> "int | np.ndarray":
     """The splitmix64 finalizer — the probe-start hash.
 
     Pure 64-bit integer arithmetic, identical on the host (build), the
     emulated device (probe loop), and the native twin, so every engine
-    walks the same probe sequence.
+    walks the same probe sequence.  ``key`` is an int or a uint64 array
+    (the bulk build hashes every key at once); array products wrap at
+    64 bits exactly as the masked int products do.
     """
-    key &= _MASK64
+    key = key & _MASK64
     key = ((key ^ (key >> 33)) * 0xFF51AFD7ED558CCD) & _MASK64
     key = ((key ^ (key >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
     return key ^ (key >> 33)
@@ -291,7 +293,13 @@ class FlatMap(HostBuiltContainer):
     # ------------------------------------------------------------------
     def assign(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Replace the contents from parallel key/value arrays in one
-        rebuild — the O(n) bulk path :class:`HashGrid` uses per frame."""
+        rebuild — the O(n) bulk path :class:`HashGrid` uses per frame.
+
+        The table is the one inserting the pairs in order would build
+        (a repeated key keeps its last value).  Every key is checked
+        before anything changes, so a rejected call leaves the map, its
+        device copy and the ledger as they were.
+        """
         keys = np.asarray(keys, dtype=np.uint64)
         values = np.asarray(values, dtype=np.int32)
         if keys.shape != values.shape:
@@ -299,15 +307,33 @@ class FlatMap(HostBuiltContainer):
                 f"assign shape mismatch: {keys.shape} keys vs "
                 f"{values.shape} values"
             )
-        self._before_host_write()
+        keys, values = keys.reshape(-1), values.reshape(-1)
+        bad = np.flatnonzero(keys == EMPTY_KEY)
+        if bad.size:
+            self._check_key(int(keys[bad[0]]))
         capacity = self._MIN_CAPACITY
         while capacity < 2 * keys.size:
             capacity *= 2
+        mask = capacity - 1
+        # The sequential linear probe over a list of slot holders (item
+        # numbers, -1 empty); a repeated key's later item takes its slot.
+        holder = [-1] * capacity
+        key_list = keys.tolist()
+        homes = (mix64(keys) & mask).tolist()
+        for item, (key, slot) in enumerate(zip(key_list, homes)):
+            held = holder[slot]
+            while held >= 0 and key_list[held] != key:
+                slot = (slot + 1) & mask
+                held = holder[slot]
+            holder[slot] = item
+        holder = np.array(holder, dtype=np.int64)
+        filled = holder >= 0
+        self._before_host_write()
         self._keys = np.full(capacity, EMPTY_KEY, dtype=np.uint64)
         self._vals = np.zeros(capacity, dtype=np.int32)
-        self._size = 0
-        for key, value in zip(keys.tolist(), values.tolist()):
-            self._insert(self._check_key(key), int(value))
+        self._keys[filled] = keys[holder[filled]]
+        self._vals[filled] = values[holder[filled]]
+        self._size = int(filled.sum())
 
     # ------------------------------------------------------------------
     # the CuPP protocol (§4.4/§4.6)

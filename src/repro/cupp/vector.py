@@ -188,7 +188,15 @@ class Vector(LazyContainer):
             self._store = np.empty(4, dtype=self.dtype)
             self._size = 0
         else:
-            arr = np.asarray(list(data) if not isinstance(data, np.ndarray) else data)
+            if not isinstance(data, np.ndarray):
+                try:
+                    items = iter(data)
+                except TypeError:
+                    raise CuppUsageError(
+                        f"cupp.Vector needs an iterable of elements, got {data!r}"
+                    ) from None
+                data = list(items)
+            arr = np.asarray(data)
             self._store = arr.astype(self.dtype).reshape(-1).copy()
             self._size = self._store.size
 
@@ -425,8 +433,8 @@ class Vector(LazyContainer):
 
     def erase(self, index: int) -> object:
         """Remove and return the element at ``index`` (``v.erase(...)``)."""
+        index = self._check_index(index)  # a rejected erase changes nothing
         self._before_host_write()
-        index = self._check_index(index)
         value = self._store[index].item()
         self._store[index : self._size - 1] = self._store[index + 1 : self._size]
         self._size -= 1
@@ -468,6 +476,17 @@ class Vector(LazyContainer):
                 vec._invalidate_holders()
 
     def _check_index(self, index: int) -> int:
+        """``index`` resolved against the size (negative counts from the
+        end): an integer in range, else ``IndexError``, or
+        :class:`CuppUsageError` for a non-integer — before any state
+        change."""
+        if type(index) is not int:
+            try:
+                index = operator.index(index)
+            except TypeError:
+                raise CuppUsageError(
+                    f"cupp.Vector indexes are integers or slices, got {index!r}"
+                ) from None
         if index < 0:
             index += self._size
         if not 0 <= index < self._size:

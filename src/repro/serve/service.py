@@ -165,6 +165,14 @@ class ServeConfig:
     #: Recovery behaviour when faults are enabled.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
+    def __post_init__(self) -> None:
+        agents = self.agents_per_session
+        integer = isinstance(agents, (int, np.integer)) and type(agents) is not bool
+        if not integer or agents < 1:
+            raise CuppUsageError(
+                f"agents_per_session must be a positive integer, got {agents!r}"
+            )
+
 
 @dataclass
 class ServiceStats:

@@ -78,6 +78,13 @@ def neighbor_search_all_pure(
     ).reshape(len(positions), params.max_neighbors)
 
 
+#: Below this many candidates one 3-key ``lexsort`` ranks faster than
+#: the dense-rank pass plus the packed sort (they cost the same near 380
+#: candidates; a native v5 step at n=64 passes ~40, a v6 grid slice
+#: ~3,000).  Both orders are the exact ``(owner, d2, j)`` order.
+RANK_LEXSORT_BELOW = 384
+
+
 def rank_nearest(
     owner: np.ndarray, d2: np.ndarray, j: np.ndarray, rows: int, k: int
 ):
@@ -88,18 +95,66 @@ def rank_nearest(
     0).  Ties on ``d2`` break by index, so the kept set is *the* ``k``
     lexicographically smallest pairs whatever order the candidates come
     in; ``d2`` keeps the caller's float association.
+
+    One sort ranks everything: ``lexsort((j, d2, owner))`` below
+    :data:`RANK_LEXSORT_BELOW` candidates, else one sort of a packed
+    integer key (:func:`_packed_order`).  Indexes must be non-negative.
     """
-    # Owner-major, then (d2, index): lexsort's primary key is its last.
-    ranked = np.lexsort((j, d2, owner))
-    j, owner = j[ranked], owner[ranked]
-    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-    top = rank < k
-    owner, rank = owner[top], rank[top]
     order = np.zeros((rows, k), dtype=np.int64)
     found = np.zeros((rows, k), dtype=bool)
-    order[owner, rank] = j[top]
-    found[owner, rank] = True
+    if not d2.size:
+        return order, found
+    # The OR of the indexes is as wide as the largest, negative if any is.
+    j_bits = int(np.bitwise_or.reduce(j))
+    if j_bits < 0:
+        raise ValueError("rank_nearest: candidate indexes must be >= 0")
+    if d2.size < RANK_LEXSORT_BELOW:
+        # Owner-major, then (d2, index): lexsort's primary key is its last.
+        ranked = np.lexsort((j, d2, owner))
+        owner, j = owner[ranked], j[ranked]
+    else:
+        owner, j = _packed_order(owner, d2, j, rows, j_bits.bit_length())
+    rank = np.arange(owner.size) - owner.searchsorted(owner)
+    top = rank < k
+    slot = owner[top] * k + rank[top]  # flat (row, rank) positions
+    order.ravel()[slot] = j[top]
+    found.ravel()[slot] = True
     return order, found
+
+
+def _packed_order(
+    owner: np.ndarray, d2: np.ndarray, j: np.ndarray, rows: int, j_bits: int
+):
+    """``(owner, j)`` sorted in ``(owner, d2, j)`` order by one integer sort.
+
+    ``d2``'s dense rank (equal distances, NaNs too, share a rank) orders
+    exactly like ``d2``, so the packed key ``owner << (r + j_bits) |
+    rank << j_bits | j`` orders exactly like the triple.  The rank width
+    ``r`` comes from the distinct distances; a set whose three fields
+    pass 63 bits raises ``OverflowError``.
+    """
+    # Candidates in d2 order; the key sort below does not care.
+    by_d2 = d2.argsort()
+    sorted_d2 = d2[by_d2]
+    fresh = np.empty(d2.size, dtype=bool)  # starts a new distance
+    fresh[0] = False
+    np.not_equal(sorted_d2[1:], sorted_d2[:-1], out=fresh[1:])
+    if sorted_d2[-1] != sorted_d2[-1]:
+        # NaNs sort last and compare unequal; like lexsort, tie them.
+        fresh[int(np.argmax(sorted_d2 != sorted_d2)) + 1 :] = False
+    dense = fresh.cumsum(dtype=np.int64)
+    top_rank = int(dense[-1])
+    low_bits = top_rank.bit_length() + j_bits
+    if int(rows - 1).bit_length() + low_bits > 63:
+        raise OverflowError(
+            f"rank_nearest: {rows} rows, {top_rank + 1} distinct distances "
+            f"and {j_bits}-bit indexes do not pack into 63 bits"
+        )
+    key = owner[by_d2].astype(np.int64, copy=False) << low_bits
+    key |= dense << j_bits
+    key |= j[by_d2]
+    key.sort()
+    return key >> low_bits, key & ((1 << j_bits) - 1)
 
 
 def neighbor_search_all_numpy(

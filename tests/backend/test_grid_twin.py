@@ -8,13 +8,16 @@ two result arrays slot by slot:
 
 * random flocks large enough that the grid query runs several slices;
 * an integer lattice, where nearly every distance is tied;
+* a lattice whose every pair is at the radius or beyond it;
 * coordinates exactly on cell boundaries, zero and negatives included;
 * agents past the 21-bit axis clamp (and past int64 once divided);
 * a sparse world where most agents find nothing;
 * worlds of fewer than eight agents.
 
-A last test caps the query's traced allocations, so the slicing keeps
-the working set bounded.
+A scale oracle launches the native grid kernel once over 100,000 agents
+and checks a sample of its rows against a brute-force ``(d2, index)``
+keep-7 over the whole flock.  A last test caps the query's traced
+allocations, so the slicing keeps the working set bounded.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from repro.backend.kernels_native import (
     _grid_neighbors,
     _neighbor_candidates,
 )
-from repro.cupp import Device
+from repro.cupp import Device, Kernel, Vector
 from repro.cupp.containers import HashGrid
 from repro.gpusteer.kernels_emu import MAX_NEIGHBORS, NO_NEIGHBOR
+from repro.gpusteer.kernels_grid import find_neighbors_hash
+from repro.simgpu.memory import InvalidDeviceAccess
 from repro.steer import DEFAULT_PARAMS
 from repro.steer.neighbors import rank_nearest
 
@@ -109,8 +114,10 @@ def test_blocked_oracle_is_the_all_pairs_twin():
 def test_random_flock_over_several_slices(n):
     pos32 = _flock(n, seed=n)
     _grid_owner, hgrid = _device_grid(pos32)
-    _, seg_len = _cell_segments(hgrid, pos32.astype(np.float64))
-    assert seg_len.sum() > GRID_SLICE_CANDIDATES  # more than one slice
+    cell_of, seg_off, _, seg_len = _cell_segments(hgrid, pos32.astype(np.float64))
+    seg_end = np.concatenate(([0], np.cumsum(seg_len)))
+    per_cell = seg_end[seg_off[1:]] - seg_end[seg_off[:-1]]
+    assert per_cell[cell_of].sum() > GRID_SLICE_CANDIDATES  # several slices
     _assert_twins_agree(pos32)
 
 
@@ -174,6 +181,62 @@ def test_sparse_world():
 def test_fewer_than_eight_agents(n):
     rng = np.random.default_rng(n)
     _assert_twins_agree(rng.uniform(-4, 4, size=(n, 3)).astype(np.float32))
+
+
+def test_pairs_exactly_at_the_radius_are_left_out():
+    # A lattice with the radius as spacing: every d2 is exact, every
+    # pair is at the radius or beyond it, and d2 < r2 keeps none.
+    axis = np.arange(-3, 3, dtype=np.float32) * np.float32(RADIUS)
+    pos32 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    pos32 = pos32.reshape(-1, 3)
+    assert (_grid(pos32) == NO_NEIGHBOR).all()
+    _assert_twins_agree(pos32)
+
+
+def test_grid_holding_agents_past_the_positions_raises():
+    # Candidate coordinates come from pos[members]: a grid built over
+    # more agents than the positions hold is refused up front.
+    pos32 = _flock(64, seed=2)
+    _grid_owner, hgrid = _device_grid(pos32)
+    with pytest.raises(InvalidDeviceAccess, match="grid holds agent 63"):
+        _grid_neighbors(hgrid, pos32[:32].astype(np.float64), 32, R2)
+
+
+#: The scale oracle's flock (a multiple of the 32-thread blocks) and
+#: how many of its agents are checked against brute force.
+SCALE_AGENTS = 100_000
+SCALE_SAMPLE = 1_000
+
+
+def test_sampled_scale_oracle_at_100k_agents():
+    n = SCALE_AGENTS
+    pos32 = _flock(n, seed=11)
+    grid = HashGrid(cell_edge=RADIUS)
+    grid.build(pos32)
+    results = Vector(np.full(MAX_NEIGHBORS * n, NO_NEIGHBOR, np.int32), np.int32)
+    device = Device(backend="native")
+    try:
+        Kernel(find_neighbors_hash, n // 32, 32)(
+            device, grid, Vector(pos32.reshape(-1)), RADIUS, results
+        )
+        got = results.to_numpy().reshape(n, MAX_NEIGHBORS)
+    finally:
+        device.close()
+
+    pos = pos32.astype(np.float64)
+    sample = np.random.default_rng(11).choice(n, SCALE_SAMPLE, replace=False)
+    everyone = np.arange(n)
+    for rows in np.array_split(sample, SCALE_SAMPLE // 25):
+        # offset = my_pos - other_pos, d2 in dot3's order, over all n.
+        o = [pos[rows, None, c] - pos[None, :, c] for c in range(3)]
+        d2 = (o[0] * o[0] + o[1] * o[1]) + o[2] * o[2]
+        for r, i in enumerate(rows):
+            j = np.flatnonzero((d2[r] < R2) & (everyone != i))
+            nearest = j[np.lexsort((j, d2[r, j]))][:MAX_NEIGHBORS]
+            expected = np.full(MAX_NEIGHBORS, NO_NEIGHBOR)
+            expected[: nearest.size] = nearest
+            np.testing.assert_array_equal(got[i], expected, err_msg=f"agent {i}")
+    assert (got[sample] != NO_NEIGHBOR).sum() > 5 * SCALE_SAMPLE  # not vacuous
 
 
 def test_query_working_set_is_bounded():

@@ -136,6 +136,52 @@ class TestFlatMapModel:
         }
 
     @HYP
+    @given(
+        keys=st.lists(
+            st.one_of(map_keys, st.integers(0, 40)), max_size=80
+        ),
+        data=st.data(),
+    )
+    def test_assign_builds_the_sequential_insert_table(self, keys, data):
+        # The bulk build must lay out the probe arrays exactly as
+        # inserting the pairs one by one into a table of the final
+        # capacity does (the emulated v6 kernel walks them), for any key
+        # order and with repeated keys keeping their last value.
+        vals = data.draw(st.lists(map_vals, min_size=len(keys), max_size=len(keys)))
+        keys = np.array(keys, dtype=np.uint64)
+        vals = np.array(vals, dtype=np.int64).astype(np.int32)
+        fmap = FlatMap()
+        fmap.assign(keys, vals)
+        ref = FlatMap()
+        capacity = 8
+        while capacity < 2 * keys.size:
+            capacity *= 2
+        ref._keys = np.full(capacity, EMPTY_KEY, dtype=np.uint64)
+        ref._vals = np.zeros(capacity, dtype=np.int32)
+        for key, value in zip(keys.tolist(), vals.tolist()):
+            ref._insert(key, value)
+        assert fmap._keys.tobytes() == ref._keys.tobytes()
+        assert fmap._vals.tobytes() == ref._vals.tobytes()
+        assert len(fmap) == len(set(keys.tolist())) == ref._size
+
+    def test_rejected_assign_changes_nothing(self, dev, fresh_obs):
+        fmap = FlatMap({1: 10, 2: 20, 3: 30})
+        fmap.transform(dev)
+        before = (dict(fmap.items()), fmap.capacity, len(fmap))
+        ledger = list(obs.get_ledger().entries)
+        with pytest.raises(CuppUsageError, match="sentinel"):
+            fmap.assign(
+                np.array([4, EMPTY_KEY, 5], dtype=np.uint64),
+                np.array([1, 2, 3], dtype=np.int32),
+            )
+        assert (dict(fmap.items()), fmap.capacity, len(fmap)) == before
+        assert fmap._device_valid
+        assert list(obs.get_ledger().entries) == ledger
+        fmap.transform(dev)
+        assert obs.counter("cupp.containers.uploads").value == 1
+        assert obs.counter("cupp.containers.lazy_hits").value == 1
+
+    @HYP
     @given(model=map_models)
     def test_capacity_is_pow2_with_load_factor_half(self, model):
         fmap = FlatMap(model)

@@ -149,6 +149,40 @@ class TestSizeArguments:
         assert list(v) == [1, 2, 5]
 
 
+class TestIndexArguments:
+    """Element reads, writes and erases reject an index that is not an
+    integer with ``CuppUsageError`` before any transfer or state change:
+    a vector whose only fresh copy is on the device keeps it there."""
+
+    @pytest.mark.parametrize("index", ["a", None, [0, 1], 1.5])
+    @pytest.mark.parametrize("access", ["read", "write", "erase"])
+    def test_bad_index_raises_before_any_change(self, dev, access, index):
+        v = Vector(np.arange(32, dtype=np.float32))
+        Kernel(double_all, 1, 32)(dev, v)  # device copy is now the fresh one
+        with pytest.raises(CuppUsageError, match="integers or slices"):
+            if access == "read":
+                v[index]
+            elif access == "write":
+                v[index] = 1.0
+            else:
+                v.erase(index)
+        assert v.downloads == 0
+        assert v._device_valid and not v._host_valid
+        np.testing.assert_array_equal(
+            v.to_numpy(), np.arange(32, dtype=np.float32) * 2
+        )
+
+    def test_integer_like_indexes_pass(self):
+        v = Vector([1, 2, 3], dtype=np.int32)
+        assert v[np.int64(1)] == 2 and v[True] == 2 and v[-1] == 3
+        v[np.int32(0)] = 7
+        assert list(v) == [7, 2, 3]
+
+    def test_non_iterable_data_is_refused(self):
+        with pytest.raises(CuppUsageError, match="iterable"):
+            Vector(5)
+
+
 class TestKernelInterplay:
     def test_mutable_ref_roundtrip(self, dev):
         v = Vector(np.arange(32, dtype=np.float32))

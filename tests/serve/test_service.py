@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cupp.exceptions import CuppUsageError
 from repro.serve.request import RequestStatus
 from repro.serve.service import ServeConfig, SimulationService
 from repro.serve.sessions import STATE_FLOATS_PER_AGENT
@@ -220,3 +221,13 @@ class TestSessionState:
         service.submit("a")
         service.drain()
         assert len(session.state) == expected
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("agents", [0, -4, 2.5, "16", True, None])
+    def test_bad_agents_per_session_raises_at_construction(self, agents):
+        with pytest.raises(CuppUsageError, match="agents_per_session"):
+            ServeConfig(agents_per_session=agents)
+
+    def test_integer_agents_per_session_pass(self):
+        assert ServeConfig(agents_per_session=np.int64(8)).agents_per_session == 8
