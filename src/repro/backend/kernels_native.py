@@ -27,6 +27,10 @@ when tied distances straddle the seventh slot, and identical across
 candidate traversal orders (all-pairs scan, shared tiles, grid
 buckets).  The conformance suite asserts this with
 manufactured exact ties.
+
+The all-pairs twins (v1-v4) share the host engine's sweep-and-prune
+``steer.neighbors.band_scan``: it skips only pairs whose x distance
+alone puts them out of radius, so its result is the dense scan's.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.gpusteer.kernels_emu import (
 )
 from repro.gpusteer.kernels_grid import find_neighbors_hash, simulate_grid
 from repro.simgpu.memory import InvalidDeviceAccess
-from repro.steer.neighbors import rank_nearest
+from repro.steer.neighbors import band_scan, rank_nearest
 
 F64 = np.float64
 
@@ -89,22 +93,11 @@ def _normalize3(v: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_candidates(pos: np.ndarray, m: int, r2: float):
-    """The v1/v2 candidate scan for threads 0..m-1 over all n agents.
-
-    Returns ``(order, found)``: per thread, up to 7 neighbor indexes in
-    the canonical nearest-first (d2, index) order the emulator's
-    ``_write_results``/gather produce, and the validity mask.
-    """
-    n = pos.shape[0]
-    my = pos[:m]
-    # offset = my_pos - other_pos, per component; d2 in dot3's order.
-    ox = my[:, None, 0] - pos[None, :, 0]
-    oy = my[:, None, 1] - pos[None, :, 1]
-    oz = my[:, None, 2] - pos[None, :, 2]
-    d2 = (ox * ox + oy * oy) + oz * oz
-    in_radius = (d2 < r2) & (np.arange(n)[None, :] != np.arange(m)[:, None])
-    owner, j = np.nonzero(in_radius)
-    return rank_nearest(owner, d2[owner, j], j, m, MAX_NEIGHBORS)
+    """The v1/v2 candidate scan for threads 0..m-1 over all n agents:
+    per thread, up to 7 neighbor indexes in the canonical nearest-first
+    (d2, index) order the emulator's ``_write_results``/gather produce,
+    and the validity mask."""
+    return band_scan(pos, np.arange(m), r2, MAX_NEIGHBORS)
 
 
 def _steering_from_neighbors(

@@ -87,16 +87,6 @@ class DeviceVector:
     def size(self) -> int:
         return len(self)
 
-    @property
-    def read_handle(self) -> object:
-        """What device code reads through, per space (used by
-        ``devicelib.ld_auto``)."""
-        if self.space == "texture":
-            return self.texref
-        if self.space == "constant":
-            return self.const_view
-        return self.view
-
     # -- device-byte layout: exactly a pointer + size + element type ----
     def pack(self) -> np.ndarray:
         if self.space == "constant":

@@ -13,9 +13,12 @@ launch geometry and by two data-dependent quantities:
 * ``full_insert_fraction`` — how many of those hit the scan-and-replace
   path (the neighbor list already held 7).
 
-The test suite validates every builder against the emulator's measured
-profile on small populations (see ``tests/gpusteer/test_cost_model.py``);
-the benchmarks then evaluate the same formulas at paper scale.
+The test suite holds ``neighbor_v1_cost``, ``neighbor_v2_cost``,
+``simulate_cost`` and ``modify_cost`` to the emulator's measured profile
+on one n=64 cloud, within stated tolerances (see
+``tests/gpusteer/test_cost_model.py``); the benchmarks then evaluate the
+same formulas at paper scale.  ``simulate_grid_cost`` (v6) has no such
+check yet: at n=64 it predicts 0.31x the emulator's issue cycles.
 
 Divergence approximation: an in-radius insert is taken to cost one full
 warp issue of its path (sparse-event assumption — inserts rarely line up

@@ -120,8 +120,3 @@ class DynamicBatcher:
         self._sizes.observe(len(picked))
         _BATCHES.inc()
         return batch
-
-    @staticmethod
-    def agents_in(batch: Batch, store) -> int:
-        """Total agents covered by a batch's fused launch."""
-        return sum(store.get(r.session_id).n for r in batch.requests)

@@ -860,11 +860,6 @@ class SimulationService:
 
     # ------------------------------------------------------------------
     @property
-    def in_flight_batches(self) -> int:
-        """Sub-batches currently executing on devices."""
-        return len(self._in_flight)
-
-    @property
     def fault_stats(self) -> "dict | None":
         """The injector's counters (``None`` on fault-free services)."""
         if self.injector is None:

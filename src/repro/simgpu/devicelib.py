@@ -228,15 +228,6 @@ def ld_auto(device_vector, index: int) -> Generator:
     return value
 
 
-def ld_vec3_auto(device_vector, index: int) -> Generator:
-    """float3 variant of :func:`ld_auto` (3 consecutive loads)."""
-    base = index * 3
-    x = yield from ld_auto(device_vector, base)
-    y = yield from ld_auto(device_vector, base + 1)
-    z = yield from ld_auto(device_vector, base + 2)
-    return (x, y, z)
-
-
 # ----------------------------------------------------------------------
 # Device runtime library: mathematical / conversion functions (§3.1.4).
 # The G80's special function unit serves transcendentals at rcp-like

@@ -295,10 +295,6 @@ class DeviceMemory:
         """
         return max(self._free_sizes, default=0)
 
-    def free_ranges(self) -> "list[tuple[int, int]]":
-        """Address-ordered ``(start, size)`` free ranges (a copy)."""
-        return list(zip(self._free_starts, self._free_sizes))
-
     def check_invariants(self) -> None:
         """Assert allocator invariants (used by the property tests)."""
         ranges: list[tuple[int, int, str]] = []

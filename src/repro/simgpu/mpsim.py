@@ -23,16 +23,6 @@ from repro.obs import NULL_SPAN
 _TRACER = obs.get_tracer()
 
 
-@dataclass(frozen=True)
-class SyntheticWarp:
-    """A warp that alternates compute and memory: ``reads`` rounds of
-    (``gap_cycles`` of issue work, then one read of ``issue`` cycles that
-    blocks the warp for ``latency`` cycles)."""
-
-    reads: int
-    gap_cycles: int
-
-
 @dataclass
 class MpSimResult:
     """Outcome of one scheduled run."""

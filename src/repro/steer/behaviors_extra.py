@@ -117,13 +117,6 @@ class Wander:
         return circle_center + self._point
 
 
-def separation_only_distance(
-    position: Vec3, obstacle_center: Vec3, obstacle_radius: float
-) -> float:
-    """Signed clearance between a point and a spherical obstacle."""
-    return position.distance(obstacle_center) - obstacle_radius
-
-
 def avoid_sphere(
     position: Vec3,
     forward: Vec3,

@@ -8,8 +8,9 @@ Three engines compute the identical result:
     cycles, Fig. 5.5) and the exact algorithm the GPU kernels port.
 
 ``numpy``
-    Blocked brute force: the same O(n^2) arithmetic vectorized, with a
-    block size bounding the pairwise-distance working set.
+    The same arithmetic vectorized as a sweep-and-prune band scan
+    (:func:`band_scan`): x-sorted bands of owners, each scanning only
+    the x window its radius can reach.
 
 ``kdtree``
     ``scipy.spatial.cKDTree`` k-nearest query with the radius filter
@@ -157,33 +158,89 @@ def _packed_order(
     return key >> low_bits, key & ((1 << j_bits) - 1)
 
 
+#: Owner rows per band of the sweep-and-prune scan (:func:`band_scan`).
+BAND_ROWS = 64
+
+
+def band_scan(
+    pos: np.ndarray, owners: np.ndarray, r2: float, k: int, band: int = BAND_ROWS
+):
+    """The all-pairs in-radius scan, ranked: per owner row ``a``, the
+    ``k`` smallest ``(d2, j)`` over agents ``j != owners[a]`` with ``d2 <
+    r2``, as :func:`rank_nearest`'s ``(order, found)``; ``d2`` is dot3's
+    ``(ox*ox + oy*oy) + oz*oz`` of ``o = pos[owners[a]] - pos[j]``.
+
+    Sweep and prune: the candidates are sorted by x once, the owners are
+    taken in x order ``band`` rows at a time, and each band scans, densely,
+    only the x window its radius can reach.  That is the dense scan exactly:
+
+    * rounding is monotone and the added squares are non-negative, so
+      ``d2 >= fl(ox*ox)``, which only grows as ``x_j`` leaves the band's
+      x range: a pair outside the window is never in radius;
+    * a kept pair's ``d2`` is the same IEEE operation as the dense scan's;
+    * :func:`rank_nearest` does not depend on candidate order.
+
+    A band's bounds are its first and last owner in x order.  NaN sorts
+    last and infinities at the ends, so a non-finite owner only widens
+    its band's window (``min``/``max`` would drop the valid owners).
+    """
+    m = len(owners)
+    x = pos[:, 0]
+    by_x = x.argsort(kind="stable")
+    cand = pos.T.take(by_x, axis=1)  # (3, n) candidate coordinates in x order
+    rows = x[owners].argsort(kind="stable")  # owner rows in x order
+    own = pos.T.take(owners[rows], axis=1)
+    xs = own[0].tolist()
+    # A kept pair has fl(fl(x_i - x_j)**2) < r2, so |x_i - x_j| <
+    # sqrt(r2) * (1 + 3u) (u = 2**-53; 2**-500 absorbs underflow); the
+    # terms in |lo| and |hi| cover rounding the bounds themselves, so
+    # every x_j a band needs lies strictly inside its two bounds.
+    reach = max(r2, 0.0) ** 0.5 * (1 + 2.0**-40) + 2.0**-500
+    bounds = []
+    for b in range(0, m, band):
+        lo, hi = xs[b], xs[min(b + band, m) - 1]
+        bounds += (
+            lo - (reach + abs(lo) * 2.0**-50),
+            hi + (reach + abs(hi) * 2.0**-50),
+        )
+    window = cand[0].searchsorted(bounds).tolist()
+    none = np.zeros(0, dtype=np.int64)
+    parts = [(none, np.zeros(0), none)]
+    for b, s, e in zip(range(0, m, band), window[::2], window[1::2]):
+        if s < e:
+            ox, oy, oz = own[:, b : b + band, None]
+            cx, cy, cz = cand[:, None, s:e]
+            d2 = np.square(ox - cx)
+            d2 += np.square(oy - cy)
+            d2 += np.square(oz - cz)
+            hit = np.flatnonzero(d2 < r2)
+            r, c = np.divmod(hit, e - s)
+            parts.append((rows[b + r], d2.ravel()[hit], by_x[s + c]))
+    owner, d2, j = (np.concatenate(p) for p in zip(*parts))
+    other = owners[owner] != j  # drop the self pairs
+    return rank_nearest(owner[other], d2[other], j[other], m, k)
+
+
 def neighbor_search_all_numpy(
     positions: np.ndarray,
     params: BoidsParams,
-    block: int = 2048,
+    block: int = BAND_ROWS,
     rows: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Blocked brute force over an ``(n, 3)`` float array.
+    """The all-pairs search over an ``(n, 3)`` array, as one
+    :func:`band_scan` in float64 with ``block`` owners per band.
 
     ``rows`` restricts the search to the given query agents — the think
     frequency's cohort (§5.3): only those rows of the result are filled,
     the rest stay NO_NEIGHBOR.
     """
-    n = positions.shape[0]
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
     k = params.max_neighbors
-    r2 = params.search_radius**2
-    query = np.arange(n) if rows is None else np.asarray(rows)
+    query = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    idx, found = band_scan(pos, query, params.search_radius**2, k, block)
     out = np.full((n, k), NO_NEIGHBOR, dtype=np.int64)
-    for start in range(0, len(query), block):
-        sel = query[start : start + block]
-        chunk = positions[sel]
-        # (block, n) squared distances.
-        d2 = ((chunk[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
-        keep = d2 < r2
-        keep[np.arange(len(sel)), sel] = False  # exclude self
-        owner, j = np.nonzero(keep)
-        idx, found = rank_nearest(owner, d2[owner, j], j, len(sel), k)
-        out[sel] = np.where(found, idx, NO_NEIGHBOR)
+    out[query] = np.where(found, idx, NO_NEIGHBOR)
     return out
 
 

@@ -46,10 +46,6 @@ class BoidsParams:
 
         return replace(self, think_every=every)
 
-    @property
-    def think_frequency_label(self) -> str:
-        return "off" if self.think_every <= 1 else f"1/{self.think_every}"
-
 
 #: The configuration the paper's measurements use.
 DEFAULT_PARAMS = BoidsParams()

@@ -58,10 +58,6 @@ class StepTiming:
     def update_s(self) -> float:
         return self.neighbor_search_s + self.steering_s + self.modification_s
 
-    @property
-    def frame_s(self) -> float:
-        return self.update_s + self.draw_s
-
 
 class Simulation:
     """Vectorized Boids state + the staged main loop."""

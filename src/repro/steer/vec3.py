@@ -101,9 +101,6 @@ class Vec3:
     def from_tuple(t: "tuple[float, float, float]") -> "Vec3":
         return Vec3(float(t[0]), float(t[1]), float(t[2]))
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.x, self.y, self.z)))
-
 
 ZERO = Vec3()
 UNIT_X = Vec3(1.0, 0.0, 0.0)

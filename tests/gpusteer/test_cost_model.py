@@ -10,11 +10,13 @@ import pytest
 
 from repro.cupp import Device, Kernel, Vector
 from repro.gpusteer import (
+    EmulatedBoids,
     LaunchGeometry,
     MAX_NEIGHBORS,
     WorkloadStats,
     find_neighbors_v1,
     find_neighbors_v2,
+    modify_cost,
     neighbor_v1_cost,
     neighbor_v2_cost,
     simulate_cost,
@@ -157,6 +159,48 @@ class TestSimulateModel:
         m3 = simulate_cost(GEOM, stats, local_cache=True)
         m4 = simulate_cost(GEOM, stats, local_cache=False)
         assert m3.bytes_moved > m4.bytes_moved
+
+
+@pytest.fixture(scope="module")
+def modify_profile():
+    """The v5 modification launch of a second step (the first skips the
+    smoothed-acceleration loads), N agents, spawn seed 11."""
+    dev = Device()
+    boids = EmulatedBoids(N, 5, seed=11, device=dev, threads_per_block=TPB)
+    boids.step()
+    boids.step()
+    return dev.runtime.last_launch.profile  # modify runs last in v5
+
+
+class TestModifyModel:
+    def test_issue_cycles(self, modify_profile):
+        # Measured 0.91: the builder prices the ALU work as a flat 70
+        # issues and 3 rsqrts per warp (the emulator counts 77 and 2), and
+        # leaves out the shared scratch and the smoothed-state reads;
+        # ±15% as for v1.
+        model = modify_cost(GEOM)
+        assert_close(
+            model.issue_cycles,
+            modify_profile.issue_cycles(G80_COSTS),
+            0.15,
+            "modify issue",
+        )
+
+    def test_global_reads(self, modify_profile):
+        # Measured 0.84: the builder counts 16 loads per warp, the kernel
+        # makes 19 after the first step (3 smoothed-acceleration loads
+        # the builder omits); ±20% covers that gap and no more.
+        model = modify_cost(GEOM)
+        assert_close(
+            model.global_reads, modify_profile.global_reads, 0.20, "modify reads"
+        )
+
+    def test_bytes_moved(self, modify_profile):
+        # Measured 0.97: the 26 stores per warp match exactly, and the
+        # reads' gap is diluted by them.
+        model = modify_cost(GEOM)
+        measured = modify_profile.bytes_read + modify_profile.bytes_written
+        assert_close(model.bytes_moved, measured, 0.15, "modify bytes")
 
 
 class TestWorkloadStats:
